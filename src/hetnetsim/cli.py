@@ -88,7 +88,9 @@ def main() -> None:
 @main.command()
 @_config_options
 @_output_options
-@click.option("--workers", type=int, default=1, show_default=True, help="Worker processes.")
+@click.option(
+    "--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes."
+)
 def simulate(config_path, seed, overrides, out_path, fmt, workers) -> None:
     """Run one scenario and emit a single metrics row."""
     scenario = _load(config_path, overrides, seed)
@@ -107,7 +109,9 @@ def simulate(config_path, seed, overrides, out_path, fmt, workers) -> None:
 @main.command()
 @_config_options
 @_output_options
-@click.option("--workers", type=int, default=1, show_default=True, help="Worker processes.")
+@click.option(
+    "--workers", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes."
+)
 def sweep(config_path, seed, overrides, out_path, fmt, workers) -> None:
     """Run the pattern x downtilt grid and emit one row per cell."""
     scenario = _load(config_path, overrides, seed)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import origin_blockage_counts as _fast_origin_counts
 from .antenna import AntennaPattern, DipolePattern, QuasiOmniPattern
 from .scenario import Scenario
 
@@ -371,32 +370,13 @@ def blockage_counts_from_origin(
     Batched origin-anchored version of `count_blockages`.  Any point where a
     path cuts a wall has the same bearing as the WAP itself, so only walls
     whose subtended bearing interval contains the WAP bearing need the exact
-    test.  Dispatches to the numba kernel when available; both paths apply
-    the same arithmetic.
+    test.
     """
     wap_xy = np.ascontiguousarray(wap_xy, dtype=float).reshape(-1, 2)
     wap_height_m = np.ascontiguousarray(wap_height_m, dtype=float)
     wall_e1 = np.ascontiguousarray(wall_e1, dtype=float).reshape(-1, 2)
     wall_e2 = np.ascontiguousarray(wall_e2, dtype=float).reshape(-1, 2)
     wall_height_m = np.ascontiguousarray(wall_height_m, dtype=float)
-    if _fast_origin_counts is not None:
-        return _fast_origin_counts(
-            wap_xy, wap_height_m, float(user_height_m), wall_e1, wall_e2, wall_height_m
-        )
-    return _origin_counts_numpy(
-        wap_xy, wap_height_m, float(user_height_m), wall_e1, wall_e2, wall_height_m
-    )
-
-
-def _origin_counts_numpy(
-    wap_xy: np.ndarray,
-    wap_height_m: np.ndarray,
-    user_height_m: float,
-    wall_e1: np.ndarray,
-    wall_e2: np.ndarray,
-    wall_height_m: np.ndarray,
-) -> np.ndarray:
-    """Pure-numpy implementation of `blockage_counts_from_origin`."""
     n_w = len(wap_xy)
     n_b = len(wall_e1)
     if n_w == 0 or n_b == 0:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .antenna import MetroAntenna, SectorPattern, metro_antenna
 
@@ -125,6 +125,13 @@ def _require(cond: bool, message: str) -> None:
 
 def validate_scenario(s: Scenario) -> None:
     """Check every scenario invariant; raises ValueError naming the bad key."""
+    for section, part in (
+        ("macro", s.macro), ("metro", s.metro), ("buildings", s.buildings), ("simulation", s)
+    ):
+        for f in fields(part):
+            value = getattr(part, f.name)
+            if isinstance(value, float):
+                _require(math.isfinite(value), f"{section}.{f.name} must be finite, got {value}")
     _require(s.macro.density_per_km2 >= 0.0, "macro.density_per_km2 must be >= 0")
     _require(s.metro.density_per_km2 >= 0.0, "metro.density_per_km2 must be >= 0")
     _require(s.buildings.density_per_km2 >= 0.0, "buildings.density_per_km2 must be >= 0")
@@ -135,7 +142,6 @@ def validate_scenario(s: Scenario) -> None:
     _require(s.drops >= 1, "simulation.drops must be >= 1")
     _require(s.master_seed >= 0, "simulation.master_seed must be >= 0")
     _require(s.carrier_frequency_ghz > 0.0, "simulation.carrier_frequency_ghz must be > 0")
-    _require(math.isfinite(s.sir_bias_db), "simulation.sir_bias_db must be finite")
     _require(s.macro.pathloss_slope_db > 0.0, "macro.pathloss_slope_db must be > 0")
     _require(s.metro.pathloss_slope_db > 0.0, "metro.pathloss_slope_db must be > 0")
     _require(

@@ -6,6 +6,12 @@ records the resulting signal-to-interference ratio.  Drop ``i`` of a run
 draws from a stream derived as ``SeedSequence(master_seed,
 spawn_key=(i, attempt))``, so results are independent of execution order
 and worker count.
+
+The cells of a sweep share that seed and differ only in the metro antenna,
+downtilt and transmit power, none of which consumes a random draw.  So
+`run_cells` samples each drop, counts its walls and evaluates every other
+link-budget term once, then scores each cell against the shared drop.  A
+single run is the one-cell case.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import (
+    _SECTOR_OFFSETS_RAD,
     MIN_LINK_DISTANCE_KM,
     NetworkSample,
     Tier,
@@ -27,9 +34,16 @@ from .geometry import (
 )
 from .antenna import metro_antenna
 from .association import DegenerateNetworkError, step3_prefers_metro
-from .scenario import PowerMode, Scenario, metro_tx_power_dbm, validate_scenario
+from .scenario import (
+    MetroConfig,
+    PowerMode,
+    Scenario,
+    metro_tx_power_dbm,
+    validate_scenario,
+)
 
 __all__ = [
+    "CellDrops",
     "DropResult",
     "NetworkMetrics",
     "SectorPowers",
@@ -37,6 +51,7 @@ __all__ = [
     "cell_radius",
     "evaluate_sample",
     "result_row",
+    "run_cells",
     "run_drop",
     "run_many",
     "run_sweep",
@@ -47,8 +62,6 @@ __all__ = [
 # A drop needs at least one interferer next to the serving sector.
 MAX_DROP_RETRIES = 8
 
-_SECTOR_OFFSETS_RAD = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
-
 
 @dataclass(frozen=True)
 class DropResult:
@@ -58,6 +71,27 @@ class DropResult:
     spectral_efficiency: float  # b/s/Hz, log2(1 + SIR)
     sir_db: float
     serving_blockages: int  # walls on the serving path
+
+
+@dataclass(frozen=True)
+class CellDrops:
+    """The drop outcomes of one cell as arrays, in drop-index order."""
+
+    is_metro: np.ndarray  # (n,) bool, True where a metro cell serves
+    spectral_efficiency: np.ndarray  # (n,)
+    sir_db: np.ndarray  # (n,)
+    serving_blockages: np.ndarray  # (n,)
+
+    def results(self) -> list[DropResult]:
+        return [
+            DropResult(Tier.METRO if metro else Tier.MACRO, se, sir, walls)
+            for metro, se, sir, walls in zip(
+                self.is_metro.tolist(),
+                self.spectral_efficiency.tolist(),
+                self.sir_db.tolist(),
+                self.serving_blockages.tolist(),
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -86,10 +120,18 @@ class SectorPowers:
     wap_blockages: np.ndarray  # (n1+n2,) walls on each WAP-user path
 
 
-def sector_mean_powers(
-    scenario: Scenario, net: NetworkSample, *, blockage_enabled: bool = True
-) -> SectorPowers:
-    """Evaluate the mean link budget of every sector toward the origin."""
+@dataclass(frozen=True)
+class _DropTerms:
+    """The link-budget terms of one drop that are the same in every cell."""
+
+    macro_dbm: np.ndarray  # (3*n1,) macro sector powers, wap-major
+    metro_theta_deg: np.ndarray  # (n2,) elevation of each metro seen from the user
+    metro_loss_db: np.ndarray  # (n2,)
+    metro_shadow_db: np.ndarray  # (n2,)
+    wap_blockages: np.ndarray  # (n1+n2,) walls on each WAP-user path
+
+
+def _drop_terms(scenario: Scenario, net: NetworkSample, blockage_enabled: bool) -> _DropTerms:
     n1 = len(net.macro_xy)
     n2 = len(net.metro_xy)
     user_h = scenario.user_height_m
@@ -115,7 +157,7 @@ def sector_mean_powers(
         crossings = np.zeros(n1 + n2, dtype=np.int64)
     shadow = crossings * scenario.buildings.attenuation_db
 
-    parts = []
+    macro_dbm = np.empty(0)
     if n1:
         macro = scenario.macro
         pattern = macro.pattern()
@@ -133,41 +175,48 @@ def sector_mean_powers(
         p = macro.tx_power_dbm + gain
         p = p - loss[:, None]
         p = p + shadow[:n1, None]
-        parts.append(p.ravel())
-    if n2:
-        metro = scenario.metro
-        pattern = metro.antenna().pattern
-        d2d = np.maximum(np.hypot(net.metro_xy[:, 0], net.metro_xy[:, 1]), MIN_LINK_DISTANCE_KM)
-        dz_m = metro.height_m - user_h
-        theta = np.degrees(np.arctan2(dz_m, d2d * 1e3))
-        d3d = np.hypot(d2d, dz_m * 1e-3)
-        loss = metro.pathloss_intercept_db + metro.pathloss_slope_db * np.log10(d3d)
-        gain = pattern.total_gain_dbi(0.0, theta, metro.downtilt_deg)
-        p = metro.tx_power_dbm + gain
-        p = p - loss
-        p = p + shadow[n1:]
-        parts.append(p)
+        macro_dbm = p.ravel()
 
-    power = np.concatenate(parts) if parts else np.empty(0)
-    wap_index = np.concatenate(
-        (np.repeat(np.arange(n1), 3), np.arange(n1, n1 + n2))
-    ).astype(np.int64)
-    sector_index = np.concatenate(
-        (np.tile(np.arange(3), n1), np.zeros(n2, dtype=np.int64))
-    ).astype(np.int64)
-    return SectorPowers(
-        power_dbm=power,
-        n_macro_sectors=3 * n1,
-        wap_index=wap_index,
-        sector_index=sector_index,
+    metro = scenario.metro
+    d2d = np.maximum(np.hypot(net.metro_xy[:, 0], net.metro_xy[:, 1]), MIN_LINK_DISTANCE_KM)
+    dz_m = metro.height_m - user_h
+    d3d = np.hypot(d2d, dz_m * 1e-3)
+    return _DropTerms(
+        macro_dbm=macro_dbm,
+        metro_theta_deg=np.degrees(np.arctan2(dz_m, d2d * 1e3)),
+        metro_loss_db=metro.pathloss_intercept_db + metro.pathloss_slope_db * np.log10(d3d),
+        metro_shadow_db=shadow[n1:],
         wap_blockages=crossings,
     )
 
 
-def _decide_serving(powers: SectorPowers, bias_db: float, linear: np.ndarray) -> int:
+def _sector_power_dbm(terms: _DropTerms, metro: MetroConfig) -> np.ndarray:
+    """Mean receive power of every sector, macros first, under one metro antenna."""
+    gain = metro.antenna().pattern.total_gain_dbi(0.0, terms.metro_theta_deg, metro.downtilt_deg)
+    p = metro.tx_power_dbm + gain
+    p = p - terms.metro_loss_db
+    p = p + terms.metro_shadow_db
+    return np.concatenate((terms.macro_dbm, p))
+
+
+def sector_mean_powers(
+    scenario: Scenario, net: NetworkSample, *, blockage_enabled: bool = True
+) -> SectorPowers:
+    """Evaluate the mean link budget of every sector toward the origin."""
+    n1 = len(net.macro_xy)
+    n2 = len(net.metro_xy)
+    terms = _drop_terms(scenario, net, blockage_enabled)
+    return SectorPowers(
+        power_dbm=_sector_power_dbm(terms, scenario.metro),
+        n_macro_sectors=3 * n1,
+        wap_index=np.concatenate((np.repeat(np.arange(n1), 3), np.arange(n1, n1 + n2))),
+        sector_index=np.concatenate((np.tile(np.arange(3), n1), np.zeros(n2, dtype=np.int64))),
+        wap_blockages=terms.wap_blockages,
+    )
+
+
+def _decide_serving(dbm: np.ndarray, n_ms: int, bias_db: float, linear: np.ndarray) -> int:
     """Flat index of the serving sector (association steps 1-3)."""
-    dbm = powers.power_dbm
-    n_ms = powers.n_macro_sectors
     if len(dbm) < 2:
         raise DegenerateNetworkError("need at least two sectors to form an SIR")
     total = linear.sum()
@@ -185,6 +234,30 @@ def _decide_serving(powers: SectorPowers, bias_db: float, linear: np.ndarray) ->
     return best_macro
 
 
+def _evaluate(
+    terms: _DropTerms, metro: MetroConfig, bias_db: float, fading: np.ndarray | None
+) -> DropResult:
+    """Associate the origin user and score one drop under one metro antenna."""
+    dbm = _sector_power_dbm(terms, metro)
+    n_ms = len(terms.macro_dbm)
+    mean_linear = 10.0 ** (dbm / 10.0)
+    serving = _decide_serving(dbm, n_ms, bias_db, mean_linear)
+
+    inst = mean_linear if fading is None else mean_linear * fading
+    desired = inst[serving]
+    interference = inst.sum() - desired
+    if interference <= 0.0:
+        raise DegenerateNetworkError("no interference power on this drop")
+    sir = desired / interference
+    wap = serving // 3 if serving < n_ms else serving - n_ms + n_ms // 3
+    return DropResult(
+        tier=Tier.MACRO if serving < n_ms else Tier.METRO,
+        spectral_efficiency=float(np.log2(1.0 + sir)),
+        sir_db=float(10.0 * np.log10(sir)),
+        serving_blockages=int(terms.wap_blockages[wap]),
+    )
+
+
 def evaluate_sample(
     scenario: Scenario,
     net: NetworkSample,
@@ -197,33 +270,15 @@ def evaluate_sample(
     ``fading`` holds one linear power factor per sector in sector order;
     None means unit fading on every link.
     """
-    powers = sector_mean_powers(scenario, net, blockage_enabled=blockage_enabled)
-    mean_linear = 10.0 ** (powers.power_dbm / 10.0)
-    serving = _decide_serving(powers, scenario.sir_bias_db, mean_linear)
-
-    inst = mean_linear if fading is None else mean_linear * fading
-    desired = inst[serving]
-    interference = inst.sum() - desired
-    if interference <= 0.0:
-        raise DegenerateNetworkError("no interference power on this drop")
-    sir = desired / interference
-    tier = Tier.MACRO if serving < powers.n_macro_sectors else Tier.METRO
-    return DropResult(
-        tier=tier,
-        spectral_efficiency=float(np.log2(1.0 + sir)),
-        sir_db=float(10.0 * np.log10(sir)),
-        serving_blockages=int(powers.wap_blockages[powers.wap_index[serving]]),
-    )
+    terms = _drop_terms(scenario, net, blockage_enabled)
+    return _evaluate(terms, scenario.metro, scenario.sir_bias_db, fading)
 
 
-def run_drop(
-    scenario: Scenario,
-    drop_index: int,
-    *,
-    unit_fading: bool = False,
-    blockage_enabled: bool = True,
-) -> DropResult:
-    """Run one seeded drop; resamples degenerate (< 2 sector) networks."""
+def _sample_drop(
+    scenario: Scenario, drop_index: int, unit_fading: bool
+) -> tuple[NetworkSample, np.ndarray | None]:
+    """The network and fading of one seeded drop; resamples degenerate
+    (< 2 sector) networks."""
     if drop_index < 0:
         raise ValueError("drop_index must be >= 0")
     last_error: DegenerateNetworkError | None = None
@@ -238,20 +293,100 @@ def run_drop(
             )
             continue
         fading = None if unit_fading else rng.standard_exponential(net.n_sectors)
-        return evaluate_sample(
-            scenario, net, fading=fading, blockage_enabled=blockage_enabled
-        )
+        return net, fading
     raise DegenerateNetworkError(
         f"drop {drop_index} stayed degenerate after {MAX_DROP_RETRIES} attempts: {last_error}"
     )
 
 
-def _drop_batch(args) -> list[DropResult]:
-    scenario, start, stop, unit_fading, blockage_enabled = args
-    return [
-        run_drop(scenario, i, unit_fading=unit_fading, blockage_enabled=blockage_enabled)
-        for i in range(start, stop)
-    ]
+def run_drop(
+    scenario: Scenario,
+    drop_index: int,
+    *,
+    unit_fading: bool = False,
+    blockage_enabled: bool = True,
+) -> DropResult:
+    """Run one seeded drop; resamples degenerate (< 2 sector) networks."""
+    net, fading = _sample_drop(scenario, drop_index, unit_fading)
+    return evaluate_sample(scenario, net, fading=fading, blockage_enabled=blockage_enabled)
+
+
+def _drop_batch(args) -> tuple[np.ndarray, ...]:
+    """Drops start..stop-1 of every cell, as the `CellDrops` fields with
+    shape (cells, drops)."""
+    cells, start, stop, unit_fading, blockage_enabled = args
+    shape = (len(cells), stop - start)
+    is_metro = np.empty(shape, dtype=bool)
+    se = np.empty(shape)
+    sir_db = np.empty(shape)
+    walls = np.empty(shape, dtype=np.int64)
+    for k, drop_index in enumerate(range(start, stop)):
+        net, fading = _sample_drop(cells[0], drop_index, unit_fading)
+        terms = _drop_terms(cells[0], net, blockage_enabled)
+        for c, cell in enumerate(cells):
+            r = _evaluate(terms, cell.metro, cell.sir_bias_db, fading)
+            is_metro[c, k] = r.tier is Tier.METRO
+            se[c, k] = r.spectral_efficiency
+            sir_db[c, k] = r.sir_db
+            walls[c, k] = r.serving_blockages
+    return is_metro, se, sir_db, walls
+
+
+def _shared_part(cell: Scenario) -> Scenario:
+    """The cell without the settings that cells of one run may vary."""
+    return replace(
+        cell,
+        power_mode=PowerMode.SAME_POWER,
+        metro=replace(cell.metro, pattern="", downtilt_deg=0.0, tx_power_dbm=0.0),
+    )
+
+
+def run_cells(
+    cells: list[Scenario],
+    *,
+    workers: int = 1,
+    executor: ProcessPoolExecutor | None = None,
+    unit_fading: bool = False,
+    blockage_enabled: bool = True,
+) -> list[CellDrops]:
+    """Run the drops of every cell, sampling each drop once for all of them.
+
+    The cells may differ only in ``metro.pattern``, ``metro.downtilt_deg``,
+    ``metro.tx_power_dbm`` and ``power_mode``.  Each cell's outcomes equal a
+    run of that cell alone, for any worker count: every drop owns a stream
+    derived from its index, and batches are concatenated in index order.
+    """
+    if not cells:
+        return []
+    for cell in cells:
+        validate_scenario(cell)
+    shared = _shared_part(cells[0])
+    if any(_shared_part(cell) != shared for cell in cells[1:]):
+        raise ValueError(
+            "cells of one run may differ only in metro pattern, downtilt and power"
+        )
+    n = cells[0].drops
+    if workers <= 1 and executor is None:
+        batches = [_drop_batch((cells, 0, n, unit_fading, blockage_enabled))]
+    else:
+        n_batches = min(n, max(workers, 1) * 4)
+        bounds = np.linspace(0, n, n_batches + 1).astype(int)
+        tasks = [
+            (cells, int(a), int(b), unit_fading, blockage_enabled)
+            for a, b in zip(bounds[:-1], bounds[1:])
+            if b > a
+        ]
+        local = executor is None
+        pool = executor or ProcessPoolExecutor(max_workers=workers)
+        try:
+            batches = list(pool.map(_drop_batch, tasks))
+        finally:
+            if local:
+                pool.shutdown()
+    # Each row of these C-ordered arrays is one cell's contiguous 1-D series,
+    # so per-cell sums run in the same order as over a list of that cell.
+    fields = [np.concatenate(parts, axis=1) for parts in zip(*batches)]
+    return [CellDrops(*(f[c] for f in fields)) for c in range(len(cells))]
 
 
 def run_many(
@@ -262,37 +397,19 @@ def run_many(
     unit_fading: bool = False,
     blockage_enabled: bool = True,
 ) -> list[DropResult]:
-    """Run ``scenario.drops`` drops, in drop-index order.
-
-    The result is identical for any worker count: every drop owns a stream
-    derived from its index, and batches are concatenated in index order.
-    """
-    validate_scenario(scenario)
-    n = scenario.drops
-    if workers <= 1 and executor is None:
-        return _drop_batch((scenario, 0, n, unit_fading, blockage_enabled))
-
-    n_batches = min(n, max(workers, 1) * 4)
-    bounds = np.linspace(0, n, n_batches + 1).astype(int)
-    tasks = [
-        (scenario, int(a), int(b), unit_fading, blockage_enabled)
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    local = executor is None
-    pool = executor or ProcessPoolExecutor(max_workers=workers)
-    try:
-        results: list[DropResult] = []
-        for batch in pool.map(_drop_batch, tasks):
-            results.extend(batch)
-        return results
-    finally:
-        if local:
-            pool.shutdown()
+    """Run ``scenario.drops`` drops, in drop-index order (a one-cell `run_cells`)."""
+    (drops,) = run_cells(
+        [scenario],
+        workers=workers,
+        executor=executor,
+        unit_fading=unit_fading,
+        blockage_enabled=blockage_enabled,
+    )
+    return drops.results()
 
 
 def aggregate(
-    results: list[DropResult],
+    results: list[DropResult] | CellDrops,
     macro_density_per_km2: float,
     metro_density_per_km2: float,
 ) -> NetworkMetrics:
@@ -302,11 +419,14 @@ def aggregate(
     the area rate weighs them by sector density (three sectors per macro
     site).  A tier with no drops contributes a zero rate and a warning.
     """
-    if not results:
+    if isinstance(results, CellDrops):
+        se, is_metro = results.spectral_efficiency, results.is_metro
+    else:
+        se = np.array([r.spectral_efficiency for r in results])
+        is_metro = np.array([r.tier is Tier.METRO for r in results], dtype=bool)
+    n = len(se)
+    if n == 0:
         raise ValueError("aggregate needs at least one drop result")
-    se = np.array([r.spectral_efficiency for r in results])
-    is_metro = np.array([r.tier is Tier.METRO for r in results])
-    n = len(results)
     n_metro = int(np.count_nonzero(is_metro))
     n_macro = n - n_metro
     for count, name in ((n_macro, "macro"), (n_metro, "metro")):
@@ -446,16 +566,7 @@ def run_sweep(
     swept parameter.
     """
     cells = sweep_scenarios(scenario, downtilts_deg, patterns, power_mode)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    rows: list[dict] = []
-    try:
-        for cell in cells:
-            results = run_many(cell, workers=workers, executor=pool)
-            metrics = aggregate(
-                results, cell.macro.density_per_km2, cell.metro.density_per_km2
-            )
-            rows.append(result_row(cell, metrics))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return rows
+    return [
+        result_row(cell, aggregate(drops, cell.macro.density_per_km2, cell.metro.density_per_km2))
+        for cell, drops in zip(cells, run_cells(cells, workers=workers))
+    ]

@@ -20,9 +20,9 @@ from click.testing import CliRunner
 
 from hetnetsim.antenna import HALF_POWER_DB, METRO_ANTENNAS, dipole_exponent
 from hetnetsim.cli import main as cli_main
-from hetnetsim.geometry import Tier, count_blockages
+from hetnetsim.geometry import count_blockages
 from hetnetsim.scenario import PowerMode, Scenario
-from hetnetsim.simulation import aggregate, result_row, run_many, sweep_scenarios
+from hetnetsim.simulation import aggregate, result_row, run_cells, sweep_scenarios
 
 from conftest import (
     PATHLOSS_BY_TIER,
@@ -85,15 +85,15 @@ def sweeps():
     t0 = time.perf_counter()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for mode in (PowerMode.SAME_POWER, PowerMode.SAME_EIRP):
-            for cell in sweep_scenarios(template, list(SWEEP_TILTS), list(PATTERN_ORDER), mode):
-                drops = run_many(cell, workers=workers, executor=pool)
+            grid = sweep_scenarios(template, list(SWEEP_TILTS), list(PATTERN_ORDER), mode)
+            for cell, drops in zip(grid, run_cells(grid, workers=workers, executor=pool)):
                 metrics = aggregate(
                     drops, cell.macro.density_per_km2, cell.metro.density_per_km2
                 )
                 cells[(mode.value, cell.metro.pattern, cell.metro.downtilt_deg)] = CellData(
                     row=result_row(cell, metrics),
-                    se=np.array([d.spectral_efficiency for d in drops]),
-                    is_metro=np.array([d.tier is Tier.METRO for d in drops]),
+                    se=drops.spectral_efficiency,
+                    is_metro=drops.is_metro,
                 )
     elapsed = time.perf_counter() - t0
     print(

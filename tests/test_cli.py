@@ -175,6 +175,30 @@ def test_config_errors_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("simulate", "metro.tx_power_dbm=nan"),
+        ("validate", "macro.tx_power_dbm=inf"),
+        ("validate", "buildings.length_max_m=-inf"),
+        ("validate", "simulation.region_radius_km=nan"),
+    ],
+)
+def test_non_finite_values_exit_2_naming_the_key(runner, command, override):
+    result = runner.invoke(main, [command, "--set", override, "--set", "simulation.drops=4"])
+    assert result.exit_code == 2, result.output
+    key = override.split("=")[0]
+    assert f"{key} must be finite" in result.output
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(runner, command, workers):
+    result = runner.invoke(main, [command, "--workers", workers, "--set", "simulation.drops=4"])
+    assert result.exit_code == 2
+    assert "--workers" in result.output
+
+
 def test_unwritable_output_exits_3(runner, tmp_path):
     cfg = write_cfg(tmp_path)
     result = runner.invoke(

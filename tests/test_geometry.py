@@ -12,7 +12,6 @@ from hetnetsim.geometry import (
     Sector,
     Tier,
     Wap,
-    _origin_counts_numpy,
     blockage_counts_from_origin,
     count_blockages,
     link_geometry,
@@ -331,9 +330,6 @@ def test_origin_batch_matches_per_link_counts():
         batch = blockage_counts_from_origin(
             wap_xy, wap_z, user_z, centers + hv, centers - hv, heights
         )
-        numpy_batch = _origin_counts_numpy(
-            wap_xy, wap_z, user_z, centers + hv, centers - hv, heights
-        )
         per_link = np.array(
             [
                 count_blockages((x, y, z), (0.0, 0.0, user_z), buildings)
@@ -341,7 +337,6 @@ def test_origin_batch_matches_per_link_counts():
             ]
         )
         assert np.array_equal(batch, per_link)
-        assert np.array_equal(numpy_batch, per_link)
 
 
 def test_footprint_crossing_rate_matches_line_process_formula():
