@@ -40,13 +40,11 @@ from .scenario import (
     validate_scenario,
 )
 from .simulation import (
-    CellDrops,
     DropResult,
     NetworkMetrics,
     aggregate,
     cell_radius,
     evaluate_sample,
-    run_cells,
     run_drop,
     run_many,
     run_sweep,

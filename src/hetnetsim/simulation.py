@@ -43,7 +43,6 @@ from .scenario import (
 )
 
 __all__ = [
-    "CellDrops",
     "DropResult",
     "NetworkMetrics",
     "SectorPowers",
@@ -71,27 +70,6 @@ class DropResult:
     spectral_efficiency: float  # b/s/Hz, log2(1 + SIR)
     sir_db: float
     serving_blockages: int  # walls on the serving path
-
-
-@dataclass(frozen=True)
-class CellDrops:
-    """The drop outcomes of one cell as arrays, in drop-index order."""
-
-    is_metro: np.ndarray  # (n,) bool, True where a metro cell serves
-    spectral_efficiency: np.ndarray  # (n,)
-    sir_db: np.ndarray  # (n,)
-    serving_blockages: np.ndarray  # (n,)
-
-    def results(self) -> list[DropResult]:
-        return [
-            DropResult(Tier.METRO if metro else Tier.MACRO, se, sir, walls)
-            for metro, se, sir, walls in zip(
-                self.is_metro.tolist(),
-                self.spectral_efficiency.tolist(),
-                self.sir_db.tolist(),
-                self.serving_blockages.tolist(),
-            )
-        ]
 
 
 @dataclass(frozen=True)
@@ -311,25 +289,16 @@ def run_drop(
     return evaluate_sample(scenario, net, fading=fading, blockage_enabled=blockage_enabled)
 
 
-def _drop_batch(args) -> tuple[np.ndarray, ...]:
-    """Drops start..stop-1 of every cell, as the `CellDrops` fields with
-    shape (cells, drops)."""
+def _drop_batch(args) -> list[list[DropResult]]:
+    """Drops start..stop-1, one list per cell."""
     cells, start, stop, unit_fading, blockage_enabled = args
-    shape = (len(cells), stop - start)
-    is_metro = np.empty(shape, dtype=bool)
-    se = np.empty(shape)
-    sir_db = np.empty(shape)
-    walls = np.empty(shape, dtype=np.int64)
-    for k, drop_index in enumerate(range(start, stop)):
+    results: list[list[DropResult]] = [[] for _ in cells]
+    for drop_index in range(start, stop):
         net, fading = _sample_drop(cells[0], drop_index, unit_fading)
         terms = _drop_terms(cells[0], net, blockage_enabled)
-        for c, cell in enumerate(cells):
-            r = _evaluate(terms, cell.metro, cell.sir_bias_db, fading)
-            is_metro[c, k] = r.tier is Tier.METRO
-            se[c, k] = r.spectral_efficiency
-            sir_db[c, k] = r.sir_db
-            walls[c, k] = r.serving_blockages
-    return is_metro, se, sir_db, walls
+        for cell, out in zip(cells, results):
+            out.append(_evaluate(terms, cell.metro, cell.sir_bias_db, fading))
+    return results
 
 
 def _shared_part(cell: Scenario) -> Scenario:
@@ -348,7 +317,7 @@ def run_cells(
     executor: ProcessPoolExecutor | None = None,
     unit_fading: bool = False,
     blockage_enabled: bool = True,
-) -> list[CellDrops]:
+) -> list[list[DropResult]]:
     """Run the drops of every cell, sampling each drop once for all of them.
 
     The cells may differ only in ``metro.pattern``, ``metro.downtilt_deg``,
@@ -367,26 +336,25 @@ def run_cells(
         )
     n = cells[0].drops
     if workers <= 1 and executor is None:
-        batches = [_drop_batch((cells, 0, n, unit_fading, blockage_enabled))]
-    else:
-        n_batches = min(n, max(workers, 1) * 4)
-        bounds = np.linspace(0, n, n_batches + 1).astype(int)
-        tasks = [
-            (cells, int(a), int(b), unit_fading, blockage_enabled)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        local = executor is None
-        pool = executor or ProcessPoolExecutor(max_workers=workers)
-        try:
-            batches = list(pool.map(_drop_batch, tasks))
-        finally:
-            if local:
-                pool.shutdown()
-    # Each row of these C-ordered arrays is one cell's contiguous 1-D series,
-    # so per-cell sums run in the same order as over a list of that cell.
-    fields = [np.concatenate(parts, axis=1) for parts in zip(*batches)]
-    return [CellDrops(*(f[c] for f in fields)) for c in range(len(cells))]
+        return _drop_batch((cells, 0, n, unit_fading, blockage_enabled))
+    n_batches = min(n, max(workers, 1) * 4)
+    bounds = np.linspace(0, n, n_batches + 1).astype(int)
+    tasks = [
+        (cells, int(a), int(b), unit_fading, blockage_enabled)
+        for a, b in zip(bounds[:-1], bounds[1:])
+        if b > a
+    ]
+    results: list[list[DropResult]] = [[] for _ in cells]
+    local = executor is None
+    pool = executor or ProcessPoolExecutor(max_workers=workers)
+    try:
+        for batch in pool.map(_drop_batch, tasks):
+            for out, part in zip(results, batch):
+                out.extend(part)
+    finally:
+        if local:
+            pool.shutdown()
+    return results
 
 
 def run_many(
@@ -398,18 +366,17 @@ def run_many(
     blockage_enabled: bool = True,
 ) -> list[DropResult]:
     """Run ``scenario.drops`` drops, in drop-index order (a one-cell `run_cells`)."""
-    (drops,) = run_cells(
+    return run_cells(
         [scenario],
         workers=workers,
         executor=executor,
         unit_fading=unit_fading,
         blockage_enabled=blockage_enabled,
-    )
-    return drops.results()
+    )[0]
 
 
 def aggregate(
-    results: list[DropResult] | CellDrops,
+    results: list[DropResult],
     macro_density_per_km2: float,
     metro_density_per_km2: float,
 ) -> NetworkMetrics:
@@ -419,11 +386,8 @@ def aggregate(
     the area rate weighs them by sector density (three sectors per macro
     site).  A tier with no drops contributes a zero rate and a warning.
     """
-    if isinstance(results, CellDrops):
-        se, is_metro = results.spectral_efficiency, results.is_metro
-    else:
-        se = np.array([r.spectral_efficiency for r in results])
-        is_metro = np.array([r.tier is Tier.METRO for r in results], dtype=bool)
+    se = np.array([r.spectral_efficiency for r in results])
+    is_metro = np.array([r.tier is Tier.METRO for r in results], dtype=bool)
     n = len(se)
     if n == 0:
         raise ValueError("aggregate needs at least one drop result")

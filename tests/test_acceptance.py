@@ -20,7 +20,7 @@ from click.testing import CliRunner
 
 from hetnetsim.antenna import HALF_POWER_DB, METRO_ANTENNAS, dipole_exponent
 from hetnetsim.cli import main as cli_main
-from hetnetsim.geometry import count_blockages
+from hetnetsim.geometry import Tier, count_blockages
 from hetnetsim.scenario import PowerMode, Scenario
 from hetnetsim.simulation import aggregate, result_row, run_cells, sweep_scenarios
 
@@ -92,8 +92,8 @@ def sweeps():
                 )
                 cells[(mode.value, cell.metro.pattern, cell.metro.downtilt_deg)] = CellData(
                     row=result_row(cell, metrics),
-                    se=drops.spectral_efficiency,
-                    is_metro=drops.is_metro,
+                    se=np.array([d.spectral_efficiency for d in drops]),
+                    is_metro=np.array([d.tier is Tier.METRO for d in drops]),
                 )
     elapsed = time.perf_counter() - t0
     print(
