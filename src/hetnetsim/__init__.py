@@ -15,22 +15,9 @@ from .antenna import (
     dipole_exponent,
     metro_antenna,
 )
-from .association import AssociationDecision, DegenerateNetworkError, asair_db, associate
-from .channel import PathLossModel, draw_fading, mean_rx_power_dbm, path_loss_db, shadow_db
+from .association import DegenerateNetworkError
 from .config import ConfigError, load_config, parse_config, save_config, scenario_to_config
-from .geometry import (
-    Building,
-    LinkGeometry,
-    Region,
-    Sector,
-    Tier,
-    Wap,
-    count_blockages,
-    link_geometry,
-    place_network,
-    sample_network,
-    sample_ppp,
-)
+from .geometry import Region, Tier, sample_network, sample_ppp
 from .scenario import (
     BuildingConfig,
     MacroConfig,

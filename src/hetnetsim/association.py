@@ -9,19 +9,11 @@ macro one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import PathLossModel, mean_rx_power_dbm
-from .geometry import Building, Tier, Wap
-
 __all__ = [
-    "AssociationDecision",
     "DegenerateNetworkError",
-    "asair_db",
-    "associate",
-    "sector_power_table",
+    "serving_sector",
     "step3_prefers_metro",
 ]
 
@@ -30,126 +22,34 @@ class DegenerateNetworkError(RuntimeError):
     """The network realization cannot support an association decision."""
 
 
-@dataclass(frozen=True)
-class AssociationDecision:
-    tier: Tier
-    wap_index: int  # index into the waps list given to associate()
-    sector_index: int  # 0 for metro
-    serving_asair_db: float
-
-
-def sector_power_table(
-    waps: list[Wap],
-    user_xy: tuple[float, float],
-    user_height_m: float,
-    buildings: list[Building],
-    pathloss_by_tier: dict[Tier, PathLossModel],
-    attenuation_db: float,
-) -> list[tuple[int, int, float]]:
-    """Mean receive power of every sector: (wap_index, sector_index, dBm)."""
-    table = []
-    for i, wap in enumerate(waps):
-        model = pathloss_by_tier[wap.tier]
-        for j, sector in enumerate(wap.sectors):
-            dbm = mean_rx_power_dbm(
-                wap, sector, user_xy, user_height_m, buildings, model, attenuation_db
-            )
-            table.append((i, j, dbm))
-    return table
-
-
-def _asair_from_table(table: list[tuple[int, int, float]], wap_index: int, sector_index: int) -> float:
-    linear = np.array([10.0 ** (dbm / 10.0) for _, _, dbm in table])
-    desired = None
-    for k, (i, j, _) in enumerate(table):
-        if i == wap_index and j == sector_index:
-            desired = k
-            break
-    if desired is None:
-        raise ValueError(f"no sector ({wap_index}, {sector_index}) in the table")
-    interference = linear.sum() - linear[desired]
-    if interference <= 0.0:
-        raise DegenerateNetworkError("candidate sector has no interferers")
-    return float(10.0 * np.log10(linear[desired] / interference))
-
-
-def asair_db(
-    candidate: tuple[int, int],
-    waps: list[Wap],
-    user_xy: tuple[float, float],
-    user_height_m: float,
-    buildings: list[Building],
-    pathloss_by_tier: dict[Tier, PathLossModel],
-    attenuation_db: float,
-) -> float:
-    """Mean-signal to summed-mean-interference ratio of one candidate sector.
-
-    Every sector of every WAP other than the candidate itself interferes,
-    including the candidate WAP's own remaining sectors.
-    """
-    table = sector_power_table(
-        waps, user_xy, user_height_m, buildings, pathloss_by_tier, attenuation_db
-    )
-    return _asair_from_table(table, candidate[0], candidate[1])
-
-
 def step3_prefers_metro(asair_macro_db: float, asair_metro_db: float, bias_db: float) -> bool:
     """Cross-tier rule: metro wins when within ``bias_db`` of the macro ASAIR."""
     return asair_metro_db >= asair_macro_db - bias_db
 
 
-def _best_of_tier(
-    table: list[tuple[int, int, float]], waps: list[Wap], tier: Tier
-) -> tuple[int, int] | None:
-    best = None
-    best_dbm = -np.inf
-    for i, j, dbm in table:
-        if waps[i].tier is tier and dbm > best_dbm:
-            best = (i, j)
-            best_dbm = dbm
-    return best
+def serving_sector(
+    power_dbm: np.ndarray, n_macro_sectors: int, bias_db: float, power_linear: np.ndarray
+) -> int:
+    """Flat index of the serving sector.
 
-
-def associate(
-    waps: list[Wap],
-    user_xy: tuple[float, float],
-    user_height_m: float,
-    buildings: list[Building],
-    bias_db: float,
-    pathloss_by_tier: dict[Tier, PathLossModel],
-    attenuation_db: float,
-) -> AssociationDecision:
-    """Pick the serving sector for a user.
-
-    Step 1 takes the strongest macro sector by mean power, step 2 the
+    ``power_dbm`` holds the mean power of every sector, the
+    ``n_macro_sectors`` macro sectors first, and ``power_linear`` the same
+    powers in mW.  Step 1 takes the strongest macro sector, step 2 the
     strongest metro cell, step 3 compares their ASAIRs with the bias.  Ties
-    go to the lowest WAP index, then the lowest sector index.  A missing
-    tier skips the bias comparison.
+    go to the lowest index.  A missing tier skips the bias comparison.
     """
-    if not waps:
-        raise DegenerateNetworkError("no WAPs in the network")
-    table = sector_power_table(
-        waps, user_xy, user_height_m, buildings, pathloss_by_tier, attenuation_db
-    )
-    macro_best = _best_of_tier(table, waps, Tier.MACRO)
-    metro_best = _best_of_tier(table, waps, Tier.METRO)
-
-    if macro_best is None and metro_best is None:
-        raise DegenerateNetworkError("no WAPs in the network")
-    if macro_best is None:
-        choice, tier = metro_best, Tier.METRO
-    elif metro_best is None:
-        choice, tier = macro_best, Tier.MACRO
-    else:
-        asair_macro = _asair_from_table(table, *macro_best)
-        asair_metro = _asair_from_table(table, *metro_best)
-        if step3_prefers_metro(asair_macro, asair_metro, bias_db):
-            choice, tier = metro_best, Tier.METRO
-        else:
-            choice, tier = macro_best, Tier.MACRO
-    return AssociationDecision(
-        tier=tier,
-        wap_index=choice[0],
-        sector_index=choice[1],
-        serving_asair_db=_asair_from_table(table, *choice),
-    )
+    if len(power_dbm) < 2:
+        raise DegenerateNetworkError("need at least two sectors to form an SIR")
+    n_ms = n_macro_sectors
+    best_macro = int(np.argmax(power_dbm[:n_ms])) if n_ms else None
+    best_metro = int(n_ms + np.argmax(power_dbm[n_ms:])) if len(power_dbm) > n_ms else None
+    if best_macro is None:
+        return best_metro
+    if best_metro is None:
+        return best_macro
+    total = power_linear.sum()
+    asair_macro = 10.0 * np.log10(power_linear[best_macro] / (total - power_linear[best_macro]))
+    asair_metro = 10.0 * np.log10(power_linear[best_metro] / (total - power_linear[best_metro]))
+    if step3_prefers_metro(asair_macro, asair_metro, bias_db):
+        return best_metro
+    return best_macro

@@ -1,4 +1,4 @@
-"""Random network geometry: node placement, link angles, wall blockage.
+"""Random network geometry: node placement and wall blockage.
 
 Conventions: positions on the ground plane are kilometers, heights and wall
 lengths are meters.  A building is a vertical wall whose footprint is a 2D
@@ -14,22 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antenna import AntennaPattern, DipolePattern, QuasiOmniPattern
 from .scenario import Scenario
 
 __all__ = [
-    "Building",
-    "LinkGeometry",
     "MIN_LINK_DISTANCE_KM",
     "NetworkSample",
     "Region",
-    "Sector",
     "Tier",
-    "Wap",
     "blockage_counts_from_origin",
-    "count_blockages",
-    "link_geometry",
-    "place_network",
     "sample_network",
     "sample_ppp",
     "wrap_angle_deg",
@@ -61,81 +53,6 @@ class Region:
     @property
     def area_km2(self) -> float:
         return math.pi * self.radius_km**2
-
-
-@dataclass(frozen=True)
-class Sector:
-    """One antenna face of a wireless access point."""
-
-    boresight_azimuth_rad: float  # [0, 2*pi)
-    pattern: AntennaPattern
-    downtilt_deg: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.boresight_azimuth_rad < 2.0 * math.pi:
-            raise ValueError("boresight_azimuth_rad must be in [0, 2*pi)")
-        if not 0.0 <= self.downtilt_deg < 90.0:
-            raise ValueError("downtilt_deg must be in [0, 90)")
-
-
-@dataclass(frozen=True)
-class Wap:
-    """A placed wireless access point.
-
-    Macro sites carry exactly three sectors whose boresights are 120 degrees
-    apart; metro sites carry one horizontally omnidirectional sector.
-    """
-
-    tier: Tier
-    position: tuple[float, float]  # km
-    height_m: float
-    tx_power_dbm: float
-    sectors: tuple[Sector, ...]
-
-    def __post_init__(self) -> None:
-        if not self.height_m > 0.0:
-            raise ValueError("height_m must be > 0")
-        if self.tier is Tier.MACRO:
-            if len(self.sectors) != 3:
-                raise ValueError("macro WAPs carry exactly 3 sectors")
-            az = sorted(s.boresight_azimuth_rad for s in self.sectors)
-            gaps = (az[1] - az[0], az[2] - az[1], az[0] + 2.0 * math.pi - az[2])
-            third = 2.0 * math.pi / 3.0
-            if any(abs(g - third) > 1e-9 for g in gaps):
-                raise ValueError("macro sector boresights must be 120 degrees apart")
-        else:
-            if len(self.sectors) != 1:
-                raise ValueError("metro WAPs carry exactly 1 sector")
-            if not isinstance(self.sectors[0].pattern, (DipolePattern, QuasiOmniPattern)):
-                raise ValueError("metro sector pattern must be horizontally omnidirectional")
-
-
-@dataclass(frozen=True)
-class Building:
-    """A vertical wall: 2D segment footprint plus a height."""
-
-    center: tuple[float, float]  # km
-    length_m: float
-    orientation_rad: float  # [0, pi)
-    height_m: float
-
-    def __post_init__(self) -> None:
-        if not self.length_m > 0.0:
-            raise ValueError("length_m must be > 0")
-        if not self.height_m > 0.0:
-            raise ValueError("height_m must be > 0")
-        if not 0.0 <= self.orientation_rad < math.pi:
-            raise ValueError("orientation_rad must be in [0, pi)")
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Distances and angles of one transmitter-user link."""
-
-    distance_2d_km: float
-    distance_3d_km: float
-    azimuth_offset_deg: float  # off boresight, wrapped to (-180, 180]
-    elevation_deg: float  # > 0 when the transmitter sits above the user
 
 
 def wrap_angle_deg(angle_deg):
@@ -175,6 +92,14 @@ class NetworkSample:
     def n_sectors(self) -> int:
         return 3 * len(self.macro_xy) + len(self.metro_xy)
 
+    def wall_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both ends (km) of every wall footprint, each (nb, 2)."""
+        orient = self.building_orientation_rad
+        half_km = (self.building_length_m * 1e-3 / 2.0)[:, None] * np.column_stack(
+            (np.cos(orient), np.sin(orient))
+        )
+        return self.building_center_xy + half_km, self.building_center_xy - half_km
+
 
 def sample_network(scenario: Scenario, rng: np.random.Generator) -> NetworkSample:
     """Sample WAP and building positions for one drop.
@@ -204,83 +129,6 @@ def sample_network(scenario: Scenario, rng: np.random.Generator) -> NetworkSampl
         building_height_m=heights,
         building_orientation_rad=orientations,
     )
-
-
-def place_network(
-    scenario: Scenario, rng: np.random.Generator
-) -> tuple[list[Wap], list[Building]]:
-    """Sample one network drop as typed objects (same draws as sample_network)."""
-    net = sample_network(scenario, rng)
-    macro_pattern = scenario.macro.pattern()
-    metro_ant = scenario.metro.antenna()
-    two_pi = 2.0 * math.pi
-
-    waps: list[Wap] = []
-    for (x, y), az0 in zip(net.macro_xy, net.macro_azimuth0_rad):
-        sectors = tuple(
-            Sector(
-                boresight_azimuth_rad=(az0 + off) % two_pi,
-                pattern=macro_pattern,
-                downtilt_deg=scenario.macro.downtilt_deg,
-            )
-            for off in _SECTOR_OFFSETS_RAD
-        )
-        waps.append(
-            Wap(Tier.MACRO, (float(x), float(y)), scenario.macro.height_m,
-                scenario.macro.tx_power_dbm, sectors)
-        )
-    for x, y in net.metro_xy:
-        sector = Sector(0.0, metro_ant.pattern, scenario.metro.downtilt_deg)
-        waps.append(
-            Wap(Tier.METRO, (float(x), float(y)), scenario.metro.height_m,
-                scenario.metro.tx_power_dbm, (sector,))
-        )
-
-    buildings = [
-        Building((float(cx), float(cy)), float(ln), float(o), float(h))
-        for (cx, cy), ln, h, o in zip(
-            net.building_center_xy,
-            net.building_length_m,
-            net.building_height_m,
-            net.building_orientation_rad,
-        )
-    ]
-    return waps, buildings
-
-
-def link_geometry(
-    wap: Wap, sector: Sector, user_xy: tuple[float, float], user_height_m: float
-) -> LinkGeometry:
-    """Distances and angles from a sector toward a user on the ground plane."""
-    dx = user_xy[0] - wap.position[0]
-    dy = user_xy[1] - wap.position[1]
-    d2d = max(math.hypot(dx, dy), MIN_LINK_DISTANCE_KM)
-    azimuth_to_user = math.atan2(dy, dx)
-    phi = float(wrap_angle_deg(math.degrees(azimuth_to_user - sector.boresight_azimuth_rad)))
-    dz_m = wap.height_m - user_height_m
-    theta = math.degrees(math.atan2(dz_m, d2d * 1e3))
-    d3d = math.hypot(d2d, dz_m * 1e-3)
-    return LinkGeometry(
-        distance_2d_km=d2d,
-        distance_3d_km=d3d,
-        azimuth_offset_deg=phi,
-        elevation_deg=theta,
-    )
-
-
-def _building_arrays(
-    buildings: list[Building],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Wall endpoints (km) and heights (m) from typed buildings."""
-    if not buildings:
-        empty = np.empty((0, 2))
-        return empty, empty, np.empty(0)
-    centers = np.array([b.center for b in buildings], dtype=float)
-    half_m = np.array([b.length_m for b in buildings], dtype=float) / 2.0
-    orient = np.array([b.orientation_rad for b in buildings], dtype=float)
-    heights = np.array([b.height_m for b in buildings], dtype=float)
-    half_vec = (half_m * 1e-3)[:, None] * np.column_stack((np.cos(orient), np.sin(orient)))
-    return centers + half_vec, centers - half_vec, heights
 
 
 def _crossing_mask(
@@ -325,38 +173,6 @@ def _crossing_mask(
     return crossed
 
 
-def count_blockages(
-    tx: tuple[float, float, float],
-    rx: tuple[float, float, float],
-    buildings: list[Building],
-) -> int:
-    """Number of walls the direct tx-rx path cuts below their tops.
-
-    ``tx`` and ``rx`` are (x_km, y_km, height_m); each wall counts at most
-    once.  Endpoint contact counts as a cut.
-    """
-    if tx == rx:
-        raise ValueError("tx and rx must be distinct points")
-    if not buildings:
-        return 0
-    e1, e2, heights = _building_arrays(buildings)
-    ax, ay, za = float(tx[0]), float(tx[1]), float(tx[2])
-    bx, by, zb = float(rx[0]), float(rx[1]), float(rx[2])
-    if ax == bx and ay == by:
-        # Vertical path: its footprint is a single point.  A wall blocks it
-        # when the footprint lies on the wall segment below the wall top.
-        vx, vy = e2[:, 0] - e1[:, 0], e2[:, 1] - e1[:, 1]
-        off = (vx * (ay - e1[:, 1]) - vy * (ax - e1[:, 0])) == 0.0
-        seg2 = vx**2 + vy**2
-        s = ((ax - e1[:, 0]) * vx + (ay - e1[:, 1]) * vy) / seg2
-        on_segment = off & (s >= 0.0) & (s <= 1.0)
-        return int(np.count_nonzero(on_segment & (min(za, zb) <= heights)))
-    mask = _crossing_mask(
-        ax, ay, bx, by, za, zb, e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1], heights
-    )
-    return int(np.count_nonzero(mask))
-
-
 def blockage_counts_from_origin(
     wap_xy: np.ndarray,
     wap_height_m: np.ndarray,
@@ -367,10 +183,11 @@ def blockage_counts_from_origin(
 ) -> np.ndarray:
     """Wall-cut counts for every path from the origin user to each WAP.
 
-    Batched origin-anchored version of `count_blockages`.  Any point where a
-    path cuts a wall has the same bearing as the WAP itself, so only walls
-    whose subtended bearing interval contains the WAP bearing need the exact
-    test.
+    A wall counts at most once per path, when the straight path meets it
+    no higher than its top; endpoint contact counts as a cut.  Any point
+    where a path cuts a wall has the same bearing as the WAP itself, so
+    only walls whose subtended bearing interval contains the WAP bearing
+    need the exact test.
     """
     wap_xy = np.ascontiguousarray(wap_xy, dtype=float).reshape(-1, 2)
     wap_height_m = np.ascontiguousarray(wap_height_m, dtype=float)

@@ -31,6 +31,10 @@ SAME_EIRP_BUDGET_DBM = 35.15
 # Metro and building densities default to this multiple of the macro density.
 DENSITY_RATIO_DEFAULT = 15.0
 
+# Cap on the expected macro sites, metro sites and walls of one drop.  The
+# defaults expect ~5,000; every point costs memory and time in every drop.
+MAX_EXPECTED_POINTS_PER_DROP = 100_000
+
 
 class PowerMode(enum.Enum):
     """How metro transmit power is assigned across antenna choices."""
@@ -139,6 +143,13 @@ def validate_scenario(s: Scenario) -> None:
     _require(s.metro.height_m > 0.0, "metro.height_m must be > 0")
     _require(s.user_height_m >= 0.0, "simulation.user_height_m must be >= 0")
     _require(s.region_radius_km > 0.0, "simulation.region_radius_km must be > 0")
+    density = s.macro.density_per_km2 + s.metro.density_per_km2 + s.buildings.density_per_km2
+    expected_points = density * math.pi * s.region_radius_km**2
+    _require(
+        expected_points <= MAX_EXPECTED_POINTS_PER_DROP,
+        f"simulation.region_radius_km and the macro/metro/buildings density_per_km2 "
+        f"expect {expected_points:.3g} points per drop; the cap is {MAX_EXPECTED_POINTS_PER_DROP}",
+    )
     _require(s.drops >= 1, "simulation.drops must be >= 1")
     _require(s.master_seed >= 0, "simulation.master_seed must be >= 0")
     _require(s.carrier_frequency_ghz > 0.0, "simulation.carrier_frequency_ghz must be > 0")

@@ -33,8 +33,9 @@ from .geometry import (
     wrap_angle_deg,
 )
 from .antenna import metro_antenna
-from .association import DegenerateNetworkError, step3_prefers_metro
+from .association import DegenerateNetworkError, serving_sector
 from .scenario import (
+    MacroConfig,
     MetroConfig,
     PowerMode,
     Scenario,
@@ -109,60 +110,49 @@ class _DropTerms:
     wap_blockages: np.ndarray  # (n1+n2,) walls on each WAP-user path
 
 
-def _drop_terms(scenario: Scenario, net: NetworkSample, blockage_enabled: bool) -> _DropTerms:
+def _link_terms(
+    tier: MacroConfig | MetroConfig, xy: np.ndarray, user_h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elevation (deg) and path loss (dB) from each site of a tier to the origin user."""
+    d2d = np.maximum(np.hypot(xy[:, 0], xy[:, 1]), MIN_LINK_DISTANCE_KM)
+    dz_m = tier.height_m - user_h
+    theta = np.degrees(np.arctan2(dz_m, d2d * 1e3))
+    d3d = np.hypot(d2d, dz_m * 1e-3)
+    return theta, tier.pathloss_intercept_db + tier.pathloss_slope_db * np.log10(d3d)
+
+
+def _drop_terms(scenario: Scenario, net: NetworkSample) -> _DropTerms:
     n1 = len(net.macro_xy)
     n2 = len(net.metro_xy)
     user_h = scenario.user_height_m
+    macro = scenario.macro
+    metro = scenario.metro
 
-    wap_xy = np.vstack((net.macro_xy.reshape(n1, 2), net.metro_xy.reshape(n2, 2)))
-    wap_z = np.concatenate(
-        (np.full(n1, scenario.macro.height_m), np.full(n2, scenario.metro.height_m))
-    )
-    if blockage_enabled and len(net.building_center_xy):
-        orient = net.building_orientation_rad
-        half_km = (net.building_length_m * 1e-3 / 2.0)[:, None] * np.column_stack(
-            (np.cos(orient), np.sin(orient))
-        )
+    crossings = np.zeros(n1 + n2, dtype=np.int64)
+    if len(net.building_center_xy):
         crossings = blockage_counts_from_origin(
-            wap_xy,
-            wap_z,
+            np.vstack((net.macro_xy.reshape(n1, 2), net.metro_xy.reshape(n2, 2))),
+            np.concatenate((np.full(n1, macro.height_m), np.full(n2, metro.height_m))),
             user_h,
-            net.building_center_xy + half_km,
-            net.building_center_xy - half_km,
+            *net.wall_endpoints(),
             net.building_height_m,
         )
-    else:
-        crossings = np.zeros(n1 + n2, dtype=np.int64)
     shadow = crossings * scenario.buildings.attenuation_db
 
-    macro_dbm = np.empty(0)
-    if n1:
-        macro = scenario.macro
-        pattern = macro.pattern()
-        dx = -net.macro_xy[:, 0]
-        dy = -net.macro_xy[:, 1]
-        d2d = np.maximum(np.hypot(dx, dy), MIN_LINK_DISTANCE_KM)
-        dz_m = macro.height_m - user_h
-        theta = np.degrees(np.arctan2(dz_m, d2d * 1e3))
-        d3d = np.hypot(d2d, dz_m * 1e-3)
-        loss = macro.pathloss_intercept_db + macro.pathloss_slope_db * np.log10(d3d)
-        azimuth_to_user = np.arctan2(dy, dx)
-        boresights = net.macro_azimuth0_rad[:, None] + _SECTOR_OFFSETS_RAD[None, :]
-        phi = wrap_angle_deg(np.degrees(azimuth_to_user[:, None] - boresights))
-        gain = pattern.total_gain_dbi(phi, theta[:, None], macro.downtilt_deg)
-        p = macro.tx_power_dbm + gain
-        p = p - loss[:, None]
-        p = p + shadow[:n1, None]
-        macro_dbm = p.ravel()
+    theta, loss = _link_terms(macro, net.macro_xy, user_h)
+    azimuth_to_user = np.arctan2(-net.macro_xy[:, 1], -net.macro_xy[:, 0])
+    boresights = net.macro_azimuth0_rad[:, None] + _SECTOR_OFFSETS_RAD[None, :]
+    phi = wrap_angle_deg(np.degrees(azimuth_to_user[:, None] - boresights))
+    gain = macro.pattern().total_gain_dbi(phi, theta[:, None], macro.downtilt_deg)
+    p = macro.tx_power_dbm + gain
+    p = p - loss[:, None]
+    p = p + shadow[:n1, None]
 
-    metro = scenario.metro
-    d2d = np.maximum(np.hypot(net.metro_xy[:, 0], net.metro_xy[:, 1]), MIN_LINK_DISTANCE_KM)
-    dz_m = metro.height_m - user_h
-    d3d = np.hypot(d2d, dz_m * 1e-3)
+    metro_theta, metro_loss = _link_terms(metro, net.metro_xy, user_h)
     return _DropTerms(
-        macro_dbm=macro_dbm,
-        metro_theta_deg=np.degrees(np.arctan2(dz_m, d2d * 1e3)),
-        metro_loss_db=metro.pathloss_intercept_db + metro.pathloss_slope_db * np.log10(d3d),
+        macro_dbm=p.ravel(),
+        metro_theta_deg=metro_theta,
+        metro_loss_db=metro_loss,
         metro_shadow_db=shadow[n1:],
         wap_blockages=crossings,
     )
@@ -177,13 +167,17 @@ def _sector_power_dbm(terms: _DropTerms, metro: MetroConfig) -> np.ndarray:
     return np.concatenate((terms.macro_dbm, p))
 
 
-def sector_mean_powers(
-    scenario: Scenario, net: NetworkSample, *, blockage_enabled: bool = True
-) -> SectorPowers:
-    """Evaluate the mean link budget of every sector toward the origin."""
+def sector_mean_powers(scenario: Scenario, net: NetworkSample) -> SectorPowers:
+    """Evaluate the mean link budget of every sector toward the origin.
+
+    The fading-averaged receive power of a link in dBm is ``P_tx + G(phi,
+    theta, tilt) - L(d_3d) + K * gamma``, with L the tier's distance power
+    law (d in km), K the number of walls cutting the path and gamma the
+    per-wall attenuation in dB.
+    """
     n1 = len(net.macro_xy)
     n2 = len(net.metro_xy)
-    terms = _drop_terms(scenario, net, blockage_enabled)
+    terms = _drop_terms(scenario, net)
     return SectorPowers(
         power_dbm=_sector_power_dbm(terms, scenario.metro),
         n_macro_sectors=3 * n1,
@@ -193,25 +187,6 @@ def sector_mean_powers(
     )
 
 
-def _decide_serving(dbm: np.ndarray, n_ms: int, bias_db: float, linear: np.ndarray) -> int:
-    """Flat index of the serving sector (association steps 1-3)."""
-    if len(dbm) < 2:
-        raise DegenerateNetworkError("need at least two sectors to form an SIR")
-    total = linear.sum()
-
-    best_macro = int(np.argmax(dbm[:n_ms])) if n_ms else None
-    best_metro = int(n_ms + np.argmax(dbm[n_ms:])) if len(dbm) > n_ms else None
-    if best_macro is None:
-        return best_metro
-    if best_metro is None:
-        return best_macro
-    asair_macro = 10.0 * np.log10(linear[best_macro] / (total - linear[best_macro]))
-    asair_metro = 10.0 * np.log10(linear[best_metro] / (total - linear[best_metro]))
-    if step3_prefers_metro(asair_macro, asair_metro, bias_db):
-        return best_metro
-    return best_macro
-
-
 def _evaluate(
     terms: _DropTerms, metro: MetroConfig, bias_db: float, fading: np.ndarray | None
 ) -> DropResult:
@@ -219,7 +194,7 @@ def _evaluate(
     dbm = _sector_power_dbm(terms, metro)
     n_ms = len(terms.macro_dbm)
     mean_linear = 10.0 ** (dbm / 10.0)
-    serving = _decide_serving(dbm, n_ms, bias_db, mean_linear)
+    serving = serving_sector(dbm, n_ms, bias_db, mean_linear)
 
     inst = mean_linear if fading is None else mean_linear * fading
     desired = inst[serving]
@@ -237,24 +212,18 @@ def _evaluate(
 
 
 def evaluate_sample(
-    scenario: Scenario,
-    net: NetworkSample,
-    *,
-    fading: np.ndarray | None = None,
-    blockage_enabled: bool = True,
+    scenario: Scenario, net: NetworkSample, *, fading: np.ndarray | None = None
 ) -> DropResult:
     """Associate the origin user and score one already-sampled network.
 
     ``fading`` holds one linear power factor per sector in sector order;
     None means unit fading on every link.
     """
-    terms = _drop_terms(scenario, net, blockage_enabled)
+    terms = _drop_terms(scenario, net)
     return _evaluate(terms, scenario.metro, scenario.sir_bias_db, fading)
 
 
-def _sample_drop(
-    scenario: Scenario, drop_index: int, unit_fading: bool
-) -> tuple[NetworkSample, np.ndarray | None]:
+def _sample_drop(scenario: Scenario, drop_index: int) -> tuple[NetworkSample, np.ndarray]:
     """The network and fading of one seeded drop; resamples degenerate
     (< 2 sector) networks."""
     if drop_index < 0:
@@ -270,32 +239,25 @@ def _sample_drop(
                 f"drop {drop_index}: {net.n_sectors} sectors in the window"
             )
             continue
-        fading = None if unit_fading else rng.standard_exponential(net.n_sectors)
-        return net, fading
+        return net, rng.standard_exponential(net.n_sectors)
     raise DegenerateNetworkError(
         f"drop {drop_index} stayed degenerate after {MAX_DROP_RETRIES} attempts: {last_error}"
     )
 
 
-def run_drop(
-    scenario: Scenario,
-    drop_index: int,
-    *,
-    unit_fading: bool = False,
-    blockage_enabled: bool = True,
-) -> DropResult:
+def run_drop(scenario: Scenario, drop_index: int) -> DropResult:
     """Run one seeded drop; resamples degenerate (< 2 sector) networks."""
-    net, fading = _sample_drop(scenario, drop_index, unit_fading)
-    return evaluate_sample(scenario, net, fading=fading, blockage_enabled=blockage_enabled)
+    net, fading = _sample_drop(scenario, drop_index)
+    return evaluate_sample(scenario, net, fading=fading)
 
 
 def _drop_batch(args) -> list[list[DropResult]]:
     """Drops start..stop-1, one list per cell."""
-    cells, start, stop, unit_fading, blockage_enabled = args
+    cells, start, stop = args
     results: list[list[DropResult]] = [[] for _ in cells]
     for drop_index in range(start, stop):
-        net, fading = _sample_drop(cells[0], drop_index, unit_fading)
-        terms = _drop_terms(cells[0], net, blockage_enabled)
+        net, fading = _sample_drop(cells[0], drop_index)
+        terms = _drop_terms(cells[0], net)
         for cell, out in zip(cells, results):
             out.append(_evaluate(terms, cell.metro, cell.sir_bias_db, fading))
     return results
@@ -315,8 +277,6 @@ def run_cells(
     *,
     workers: int = 1,
     executor: ProcessPoolExecutor | None = None,
-    unit_fading: bool = False,
-    blockage_enabled: bool = True,
 ) -> list[list[DropResult]]:
     """Run the drops of every cell, sampling each drop once for all of them.
 
@@ -336,14 +296,10 @@ def run_cells(
         )
     n = cells[0].drops
     if workers <= 1 and executor is None:
-        return _drop_batch((cells, 0, n, unit_fading, blockage_enabled))
+        return _drop_batch((cells, 0, n))
     n_batches = min(n, max(workers, 1) * 4)
     bounds = np.linspace(0, n, n_batches + 1).astype(int)
-    tasks = [
-        (cells, int(a), int(b), unit_fading, blockage_enabled)
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
+    tasks = [(cells, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     results: list[list[DropResult]] = [[] for _ in cells]
     local = executor is None
     pool = executor or ProcessPoolExecutor(max_workers=workers)
@@ -362,17 +318,9 @@ def run_many(
     *,
     workers: int = 1,
     executor: ProcessPoolExecutor | None = None,
-    unit_fading: bool = False,
-    blockage_enabled: bool = True,
 ) -> list[DropResult]:
     """Run ``scenario.drops`` drops, in drop-index order (a one-cell `run_cells`)."""
-    return run_cells(
-        [scenario],
-        workers=workers,
-        executor=executor,
-        unit_fading=unit_fading,
-        blockage_enabled=blockage_enabled,
-    )[0]
+    return run_cells([scenario], workers=workers, executor=executor)[0]
 
 
 def aggregate(

@@ -20,19 +20,20 @@ from click.testing import CliRunner
 
 from hetnetsim.antenna import HALF_POWER_DB, METRO_ANTENNAS, dipole_exponent
 from hetnetsim.cli import main as cli_main
-from hetnetsim.geometry import Tier, count_blockages
+from hetnetsim.geometry import Tier
 from hetnetsim.scenario import PowerMode, Scenario
 from hetnetsim.simulation import aggregate, result_row, run_cells, sweep_scenarios
 
 from conftest import (
-    PATHLOSS_BY_TIER,
+    engine_associate,
     oracle_associate,
     oracle_borderline,
     oracle_wall_blocked,
-    random_buildings,
-    random_waps,
+    path_wall_count,
+    random_sites,
+    random_walls,
+    scene,
 )
-from hetnetsim.association import associate
 
 ACCEPT_DROPS = int(os.environ.get("HETNETSIM_ACCEPTANCE_DROPS", "10000"))
 ACCEPT_SEED = 20260810
@@ -203,14 +204,14 @@ def test_criterion_4_blockage_ray_march_oracle():
         rx = (rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), rng.uniform(0.0, 2.0))
         if math.hypot(tx[0] - rx[0], tx[1] - rx[1]) < 5e-3:
             continue
-        buildings = random_buildings(rng, int(rng.integers(1, 10)), span_km=0.06)
+        walls = random_walls(rng, int(rng.integers(1, 10)), span_km=0.06)
         scenes += 1
-        for wall in buildings:
+        for wall in walls:
             if oracle_borderline(tx, rx, wall):
                 excluded += 1
                 continue
             expected = oracle_wall_blocked(tx, rx, wall)
-            assert count_blockages(tx, rx, [wall]) == int(expected)
+            assert path_wall_count(tx, rx, [wall]) == int(expected)
             walls_checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -231,17 +232,10 @@ def test_criterion_5_association_oracle():
         if n_macro + n_metro < 2:
             continue
         scenes += 1
-        waps = random_waps(rng, n_macro, n_metro, span_km=0.8)
-        buildings = random_buildings(rng, int(rng.integers(0, 12)), span_km=0.6)
-        bias = float(rng.uniform(-6.0, 12.0))
-        decision = associate(
-            waps, (0.0, 0.0), 0.0, buildings, bias, PATHLOSS_BY_TIER, -40.0
-        )
-        tier, key = oracle_associate(
-            waps, (0.0, 0.0), 0.0, buildings, bias, PATHLOSS_BY_TIER, -40.0
-        )
-        assert decision.tier is tier
-        assert (decision.wap_index, decision.sector_index) == key
+        sites = random_sites(rng, n_macro, n_metro, span_km=0.8)
+        net = scene(*sites, random_walls(rng, int(rng.integers(0, 12)), span_km=0.6))
+        scn = replace(Scenario(), sir_bias_db=float(rng.uniform(-6.0, 12.0)))
+        assert engine_associate(scn, net) == oracle_associate(scn, net)
     print("ACCEPTANCE 5: PASS — 50 desk-scale scenes match the step-by-step enumeration oracle")
 
 

@@ -4,59 +4,67 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hetnetsim.association import (
-    AssociationDecision,
-    DegenerateNetworkError,
-    asair_db,
-    associate,
-    sector_power_table,
-    step3_prefers_metro,
-)
-from hetnetsim.geometry import Building, Tier
+from hetnetsim.association import DegenerateNetworkError, serving_sector, step3_prefers_metro
+from hetnetsim.geometry import Tier
+from hetnetsim.scenario import Scenario
+from hetnetsim.simulation import evaluate_sample, sector_mean_powers
 
-from conftest import (
-    PATHLOSS_BY_TIER,
-    make_macro,
-    make_metro,
-    oracle_associate,
-    random_buildings,
-    random_waps,
-)
+from conftest import engine_associate, oracle_associate, random_sites, random_walls, scene
 
-USER = (0.0, 0.0)
-GAMMA_DB = -40.0
-TALL_WALL = Building((-0.05, 0.0), 20.0, math.pi / 2.0, 1000.0)
+SCN = Scenario()  # user on the ground, -40 dB per wall, 6 dB bias
+TALL_WALL = (-0.05, 0.0, 20.0, math.pi / 2.0, 1000.0)
+# an unblocked metro and its wall-shadowed twin, seen on a level path
+TWINS = scene(metro_xy=[(0.1, 0.0), (-0.1, 0.0)], walls=[TALL_WALL])
+LEVEL = replace(SCN, user_height_m=5.0)
+
+
+def with_bias(bias_db):
+    return replace(SCN, sir_bias_db=bias_db)
+
+
+def boosted(scn, db=10.0):
+    return replace(
+        scn,
+        macro=replace(scn.macro, tx_power_dbm=scn.macro.tx_power_dbm + db),
+        metro=replace(scn.metro, tx_power_dbm=scn.metro.tx_power_dbm + db),
+    )
+
+
+def random_scene(rng, n_macro, n_metro, n_walls, span_km=0.8, wall_span_km=0.6):
+    return scene(*random_sites(rng, n_macro, n_metro, span_km), random_walls(rng, n_walls, wall_span_km))
 
 
 def test_asair_two_candidate_hand_value():
     # unblocked metro at -60.8 dBm vs a wall-shadowed twin at -100.8 dBm
-    waps = [make_metro((0.1, 0.0)), make_metro((-0.1, 0.0))]
-    value = asair_db((0, 0), waps, USER, 5.0, [TALL_WALL], PATHLOSS_BY_TIER, GAMMA_DB)
-    assert value == pytest.approx(40.0, abs=1e-9)
-    mirrored = asair_db((1, 0), waps, USER, 5.0, [TALL_WALL], PATHLOSS_BY_TIER, GAMMA_DB)
-    assert mirrored == pytest.approx(-40.0, abs=1e-9)
+    p = sector_mean_powers(LEVEL, TWINS).power_dbm
+    assert p == pytest.approx([-60.8, -100.8], abs=1e-9)
+    linear = 10.0 ** (p / 10.0)
+    assert 10.0 * math.log10(linear[0] / linear[1]) == pytest.approx(40.0, abs=1e-9)
 
 
 def test_asair_identical_colocated_candidates():
-    waps = [make_metro((0.1, 0.0)), make_metro((0.1, 0.0))]
-    value = asair_db((0, 0), waps, USER, 0.0, [], PATHLOSS_BY_TIER, GAMMA_DB)
-    assert value == pytest.approx(0.0, abs=1e-12)
+    net = scene(metro_xy=[(0.1, 0.0), (0.1, 0.0)])
+    p = sector_mean_powers(SCN, net).power_dbm
+    assert p[0] == p[1]
+    assert engine_associate(SCN, net) == (Tier.METRO, (0, 0))
+    # with unit fading the SIR is the serving sector's ASAIR
+    assert evaluate_sample(SCN, net).sir_db == pytest.approx(0.0, abs=1e-12)
 
 
 def test_asair_requires_an_interferer():
-    waps = [make_metro((0.1, 0.0))]
     with pytest.raises(DegenerateNetworkError):
-        asair_db((0, 0), waps, USER, 0.0, [], PATHLOSS_BY_TIER, GAMMA_DB)
+        serving_sector(np.array([-60.0]), 0, 6.0, np.array([1e-6]))
+    with pytest.raises(DegenerateNetworkError):
+        evaluate_sample(SCN, scene(metro_xy=[(0.1, 0.0)]))
 
 
 def test_asair_invariant_to_common_power_scaling():
-    rng = np.random.default_rng(17)
-    waps = random_waps(rng, 2, 4, span_km=0.6)
-    buildings = random_buildings(rng, 8, span_km=0.5)
-    base = asair_db((3, 0), waps, USER, 0.0, buildings, PATHLOSS_BY_TIER, GAMMA_DB)
-    boosted_waps = [replace(w, tx_power_dbm=w.tx_power_dbm + 10.0) for w in waps]
-    boosted = asair_db((3, 0), boosted_waps, USER, 0.0, buildings, PATHLOSS_BY_TIER, GAMMA_DB)
-    assert boosted == pytest.approx(base, abs=1e-9)
+    net = random_scene(np.random.default_rng(17), 2, 4, 8, span_km=0.6, wall_span_km=0.5)
+    base = sector_mean_powers(SCN, net).power_dbm
+    assert sector_mean_powers(boosted(SCN), net).power_dbm - base == pytest.approx(10.0, abs=1e-9)
+    assert evaluate_sample(boosted(SCN), net).sir_db == pytest.approx(
+        evaluate_sample(SCN, net).sir_db, abs=1e-9
+    )
 
 
 def test_step3_boundary_prefers_metro():
@@ -66,51 +74,39 @@ def test_step3_boundary_prefers_metro():
 
 
 def test_associate_single_tier_skips_the_bias_test():
-    macros = [make_macro((0.5, 0.0)), make_macro((-0.7, 0.3))]
-    decision = associate(macros, USER, 0.0, [], 6.0, PATHLOSS_BY_TIER, GAMMA_DB)
-    assert decision.tier is Tier.MACRO
-    metros = [make_metro((0.1, 0.0)), make_metro((0.3, 0.1))]
-    decision = associate(metros, USER, 0.0, [], 6.0, PATHLOSS_BY_TIER, GAMMA_DB)
-    assert decision.tier is Tier.METRO and decision.wap_index == 0
+    macros = scene([(0.5, 0.0), (-0.7, 0.3)], [0.0, 0.0])
+    assert engine_associate(with_bias(math.inf), macros)[0] is Tier.MACRO
+    metros = scene(metro_xy=[(0.1, 0.0), (0.3, 0.1)])
+    assert engine_associate(with_bias(-math.inf), metros) == (Tier.METRO, (0, 0))
 
 
 def test_associate_requires_some_wap():
     with pytest.raises(DegenerateNetworkError):
-        associate([], USER, 0.0, [], 6.0, PATHLOSS_BY_TIER, GAMMA_DB)
+        engine_associate(SCN, scene())
 
 
 def test_associate_breaks_exact_ties_by_lowest_index():
     # mirror-image macros produce bitwise-equal sector powers
-    left = make_macro((-1.0, 0.0), first_azimuth_rad=0.0)
-    right = make_macro((1.0, 0.0), first_azimuth_rad=math.pi)
-    table = sector_power_table([left, right], USER, 0.0, [], PATHLOSS_BY_TIER, GAMMA_DB)
-    powers = {(i, j): p for i, j, p in table}
-    assert powers[(0, 0)] == powers[(1, 0)]
-    decision = associate([left, right], USER, 0.0, [], 6.0, PATHLOSS_BY_TIER, GAMMA_DB)
-    assert (decision.wap_index, decision.sector_index) == (0, 0)
+    net = scene([(-1.0, 0.0), (1.0, 0.0)], [0.0, math.pi])
+    p = sector_mean_powers(SCN, net).power_dbm
+    assert p[0] == p[3]
+    assert engine_associate(SCN, net) == (Tier.MACRO, (0, 0))
 
 
 def test_bias_extremes_force_the_tier():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        waps = random_waps(rng, 2, 3, span_km=0.8)
-        buildings = random_buildings(rng, 5, span_km=0.6)
-        forced_macro = associate(waps, USER, 0.0, buildings, -math.inf, PATHLOSS_BY_TIER, GAMMA_DB)
-        assert forced_macro.tier is Tier.MACRO
-        forced_metro = associate(waps, USER, 0.0, buildings, math.inf, PATHLOSS_BY_TIER, GAMMA_DB)
-        assert forced_metro.tier is Tier.METRO
+        net = random_scene(rng, 2, 3, 5)
+        assert engine_associate(with_bias(-math.inf), net)[0] is Tier.MACRO
+        assert engine_associate(with_bias(math.inf), net)[0] is Tier.METRO
 
 
 def test_bias_monotonicity_macro_to_metro_only():
     rng = np.random.default_rng(29)
     biases = [-20.0, -10.0, -3.0, 0.0, 3.0, 6.0, 10.0, 20.0]
     for _ in range(40):
-        waps = random_waps(rng, int(rng.integers(1, 4)), int(rng.integers(1, 6)), span_km=0.8)
-        buildings = random_buildings(rng, int(rng.integers(0, 10)), span_km=0.6)
-        picked_metro = [
-            associate(waps, USER, 0.0, buildings, b, PATHLOSS_BY_TIER, GAMMA_DB).tier is Tier.METRO
-            for b in biases
-        ]
+        net = random_scene(rng, int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(0, 10)))
+        picked_metro = [engine_associate(with_bias(b), net)[0] is Tier.METRO for b in biases]
         # once metro, always metro as the bias keeps growing
         assert picked_metro == sorted(picked_metro)
 
@@ -118,16 +114,8 @@ def test_bias_monotonicity_macro_to_metro_only():
 def test_decision_invariant_to_common_power_scaling():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        waps = random_waps(rng, 2, 4, span_km=0.8)
-        buildings = random_buildings(rng, 6, span_km=0.6)
-        base = associate(waps, USER, 0.0, buildings, 6.0, PATHLOSS_BY_TIER, GAMMA_DB)
-        boosted = [replace(w, tx_power_dbm=w.tx_power_dbm + 10.0) for w in waps]
-        shifted = associate(boosted, USER, 0.0, buildings, 6.0, PATHLOSS_BY_TIER, GAMMA_DB)
-        assert (shifted.tier, shifted.wap_index, shifted.sector_index) == (
-            base.tier,
-            base.wap_index,
-            base.sector_index,
-        )
+        net = random_scene(rng, 2, 4, 6)
+        assert engine_associate(boosted(SCN), net) == engine_associate(SCN, net)
 
 
 def test_associate_matches_brute_force_oracle():
@@ -137,19 +125,13 @@ def test_associate_matches_brute_force_oracle():
         n_metro = int(rng.integers(0, 10 - n_macro))
         if n_macro + n_metro < 2:
             n_macro, n_metro = 1, 1
-        waps = random_waps(rng, n_macro, n_metro, span_km=0.8)
-        buildings = random_buildings(rng, int(rng.integers(0, 12)), span_km=0.6)
-        bias = float(rng.uniform(-6.0, 12.0))
-        decision = associate(waps, USER, 0.0, buildings, bias, PATHLOSS_BY_TIER, GAMMA_DB)
-        oracle_tier, oracle_key = oracle_associate(
-            waps, USER, 0.0, buildings, bias, PATHLOSS_BY_TIER, GAMMA_DB
-        )
-        assert decision.tier is oracle_tier
-        assert (decision.wap_index, decision.sector_index) == oracle_key
+        net = random_scene(rng, n_macro, n_metro, int(rng.integers(0, 12)))
+        scn = with_bias(float(rng.uniform(-6.0, 12.0)))
+        assert engine_associate(scn, net) == oracle_associate(scn, net)
 
 
 def test_decision_reports_the_serving_asair():
-    waps = [make_metro((0.1, 0.0)), make_metro((-0.1, 0.0))]
-    decision = associate(waps, USER, 5.0, [TALL_WALL], 6.0, PATHLOSS_BY_TIER, GAMMA_DB)
-    assert decision == AssociationDecision(Tier.METRO, 0, 0, decision.serving_asair_db)
-    assert decision.serving_asair_db == pytest.approx(40.0, abs=1e-9)
+    drop = evaluate_sample(LEVEL, TWINS)
+    assert drop.tier is Tier.METRO and drop.serving_blockages == 0
+    # with unit fading the SIR is the serving sector's ASAIR
+    assert drop.sir_db == pytest.approx(40.0, abs=1e-9)

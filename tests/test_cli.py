@@ -191,6 +191,16 @@ def test_non_finite_values_exit_2_naming_the_key(runner, command, override):
     assert f"{key} must be finite" in result.output
 
 
+@pytest.mark.parametrize(
+    "override", ["simulation.region_radius_km=1e6", "buildings.density_per_km2=1e5"]
+)
+def test_validate_caps_the_expected_points_per_drop(runner, override):
+    result = runner.invoke(main, ["validate", "--set", override])
+    assert result.exit_code == 2, result.output
+    assert "simulation.region_radius_km" in result.output
+    assert "density_per_km2" in result.output
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_exit_2(runner, command, workers):

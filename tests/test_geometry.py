@@ -7,22 +7,17 @@ from scipy import stats
 
 from hetnetsim.geometry import (
     MIN_LINK_DISTANCE_KM,
-    Building,
     Region,
-    Sector,
-    Tier,
-    Wap,
+    _crossing_mask,
     blockage_counts_from_origin,
-    count_blockages,
-    link_geometry,
-    place_network,
     sample_network,
     sample_ppp,
     wrap_angle_deg,
 )
 from hetnetsim.scenario import Scenario
+from hetnetsim.simulation import sector_mean_powers
 
-from conftest import make_macro, make_metro, random_buildings
+from conftest import metro_dbm, path_wall_count, random_walls, scene
 
 TALL = 1e9  # wall height that never passes the height test
 
@@ -95,29 +90,20 @@ def test_sample_ppp_points_are_uniform_on_the_disc():
     assert np.all(r2 <= 1.0 + 1e-12)
 
 
-# ---------------------------------------------------------- place_network
+# ---------------------------------------------------------- sample_network
 
 def test_place_network_fields_and_distributions():
     scn = small_scenario()
-    waps, buildings = place_network(scn, np.random.default_rng(5))
-    macros = [w for w in waps if w.tier is Tier.MACRO]
-    metros = [w for w in waps if w.tier is Tier.METRO]
-    assert macros and metros and buildings
-
-    third = 2.0 * math.pi / 3.0
-    for wap in macros:
-        assert wap.height_m == 30.0 and wap.tx_power_dbm == 46.0
-        az = sorted(s.boresight_azimuth_rad for s in wap.sectors)
-        gaps = (az[1] - az[0], az[2] - az[1], az[0] + 2.0 * math.pi - az[2])
-        assert all(abs(g - third) < 1e-9 for g in gaps)
-        assert all(s.downtilt_deg == 10.0 for s in wap.sectors)
-    for wap in metros:
-        assert wap.height_m == 5.0 and wap.tx_power_dbm == 33.0
-        assert len(wap.sectors) == 1
-    for b in buildings:
-        assert 20.0 <= b.length_m <= 30.0
-        assert 10.0 <= b.height_m <= 20.0
-        assert 0.0 <= b.orientation_rad < math.pi
+    net = sample_network(scn, np.random.default_rng(5))
+    assert len(net.macro_xy) and len(net.metro_xy) and len(net.building_center_xy)
+    assert net.macro_xy.shape == (len(net.macro_azimuth0_rad), 2)
+    assert np.all((0.0 <= net.macro_azimuth0_rad) & (net.macro_azimuth0_rad < 2.0 * math.pi))
+    assert np.all((20.0 <= net.building_length_m) & (net.building_length_m <= 30.0))
+    assert np.all((10.0 <= net.building_height_m) & (net.building_height_m <= 20.0))
+    assert np.all((0.0 <= net.building_orientation_rad) & (net.building_orientation_rad < math.pi))
+    e1, e2 = net.wall_endpoints()
+    assert np.allclose((e1 + e2) / 2.0, net.building_center_xy, rtol=0.0, atol=1e-15)
+    assert np.allclose(np.hypot(*(e1 - e2).T) * 1e3, net.building_length_m, rtol=1e-12)
 
 
 def test_metro_count_tracks_macro_count_fifteen_to_one():
@@ -126,217 +112,166 @@ def test_metro_count_tracks_macro_count_fifteen_to_one():
     rng = np.random.default_rng(11)
     n_macro = n_metro = 0
     for _ in range(30):
-        waps, _ = place_network(scn, rng)
-        n_macro += sum(w.tier is Tier.MACRO for w in waps)
-        n_metro += sum(w.tier is Tier.METRO for w in waps)
+        net = sample_network(scn, rng)
+        n_macro += len(net.macro_xy)
+        n_metro += len(net.metro_xy)
     assert 12.5 < n_metro / n_macro < 17.5
 
 
-def test_place_network_matches_sample_network_draws():
-    scn = small_scenario()
-    waps, buildings = place_network(scn, np.random.default_rng(9))
-    net = sample_network(scn, np.random.default_rng(9))
-    macros = [w for w in waps if w.tier is Tier.MACRO]
-    assert len(macros) == len(net.macro_xy)
-    assert macros[0].position == tuple(net.macro_xy[0])
-    assert buildings[0].length_m == net.building_length_m[0]
-
-
 # ------------------------------------------------------------ link angles
-
-def test_link_geometry_boresight_ray():
-    wap = make_metro((0.0, 0.0), height_m=5.0)
-    geom = link_geometry(wap, wap.sectors[0], (0.1, 0.0), 0.0)
-    assert geom.azimuth_offset_deg == 0.0
-    assert geom.elevation_deg == pytest.approx(2.8624052261117474, abs=1e-12)
-    assert geom.distance_2d_km == 0.1
-    assert geom.distance_3d_km == pytest.approx(math.hypot(0.1, 0.005), rel=1e-15)
-
-
-def test_link_geometry_level_path_has_zero_elevation():
-    wap = make_metro((0.0, 0.0), height_m=5.0)
-    geom = link_geometry(wap, wap.sectors[0], (0.25, 0.0), 5.0)
-    assert geom.elevation_deg == 0.0
-    assert geom.distance_3d_km == geom.distance_2d_km
-
 
 def test_azimuth_offset_wraps_to_half_turn():
     assert wrap_angle_deg(190.0 - 10.0) == 180.0
     assert wrap_angle_deg(-180.0) == 180.0
     assert wrap_angle_deg(190.0) == -170.0
     assert wrap_angle_deg(0.0) == 0.0
+    angles = np.random.default_rng(21).uniform(-1000.0, 1000.0, 200)
+    wrapped = wrap_angle_deg(angles)
+    assert np.all((-180.0 < wrapped) & (wrapped <= 180.0))
+    assert np.allclose(np.mod(wrapped - angles + 180.0, 360.0), 180.0, rtol=0.0, atol=1e-9)
 
-    wap = make_metro((0.0, 0.0))
-    sector = Sector(math.radians(10.0), wap.sectors[0].pattern, 0.0)
-    user = (0.1 * math.cos(math.radians(190.0)), 0.1 * math.sin(math.radians(190.0)))
-    geom = link_geometry(wap, sector, user, 0.0)
-    assert abs(geom.azimuth_offset_deg) == pytest.approx(180.0, abs=1e-9)
+
+# ------------------------------------------------------------ link angles
+
+METRO = Scenario().metro
+METRO_GAIN = METRO.antenna().pattern.total_gain_dbi
+
+
+def metro_loss_db(d3d_km):
+    return METRO.pathloss_intercept_db + METRO.pathloss_slope_db * math.log10(d3d_km)
+
+
+def test_link_geometry_boresight_ray():
+    # 5 m mast 100 m away: the user is seen 2.862 deg below the horizon
+    expected = METRO.tx_power_dbm + METRO_GAIN(0.0, 2.8624052261117474, 0.0)
+    expected -= metro_loss_db(math.hypot(0.1, 0.005))
+    assert metro_dbm(Scenario(), (0.1, 0.0)) == pytest.approx(expected, rel=1e-12)
+
+
+def test_link_geometry_level_path_has_zero_elevation():
+    expected = METRO.tx_power_dbm + METRO_GAIN(0.0, 0.0, 0.0) - metro_loss_db(0.25)
+    level = replace(Scenario(), user_height_m=5.0)
+    assert metro_dbm(level, (0.25, 0.0)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_link_geometry_clamps_coincident_positions():
-    wap = make_metro((0.0, 0.0), height_m=5.0)
-    geom = link_geometry(wap, wap.sectors[0], (0.0, 0.0), 0.0)
-    assert geom.distance_2d_km == MIN_LINK_DISTANCE_KM
-    assert geom.elevation_deg == pytest.approx(math.degrees(math.atan2(5.0, 1.0)), abs=1e-12)
+    at_user = metro_dbm(Scenario(), (0.0, 0.0))
+    assert at_user == metro_dbm(Scenario(), (MIN_LINK_DISTANCE_KM, 0.0))
+    expected = METRO.tx_power_dbm + METRO_GAIN(0.0, math.degrees(math.atan2(5.0, 1.0)), 0.0)
+    assert at_user == pytest.approx(expected - metro_loss_db(math.hypot(1e-3, 5e-3)), rel=1e-12)
 
 
 def test_link_geometry_random_invariants():
+    # gain never exceeds the peak and d_3d >= d_2d, so no sector beats its
+    # transmit power plus peak gain minus the path loss at the ground distance
+    scn = Scenario()
     rng = np.random.default_rng(21)
-    wap = make_metro((0.0, 0.0))
-    for _ in range(200):
-        sector = Sector(rng.uniform(0.0, 2.0 * math.pi), wap.sectors[0].pattern, 0.0)
-        user = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        geom = link_geometry(wap, sector, user, rng.uniform(0.0, 3.0))
-        assert -180.0 < geom.azimuth_offset_deg <= 180.0
-        assert geom.distance_3d_km >= geom.distance_2d_km
-
-
-# ------------------------------------------------------------- type checks
-
-def test_wap_invariants_are_enforced():
-    metro = make_metro((0.0, 0.0))
-    with pytest.raises(ValueError, match="3 sectors"):
-        Wap(Tier.MACRO, (0.0, 0.0), 30.0, 46.0, metro.sectors)
-    with pytest.raises(ValueError, match="120 degrees"):
-        macro = make_macro((0.0, 0.0))
-        skew = (macro.sectors[0], macro.sectors[1], replace(macro.sectors[2], boresight_azimuth_rad=1.0))
-        Wap(Tier.MACRO, (0.0, 0.0), 30.0, 46.0, skew)
-    with pytest.raises(ValueError, match="omnidirectional"):
-        macro = make_macro((0.0, 0.0))
-        Wap(Tier.METRO, (0.0, 0.0), 5.0, 33.0, (macro.sectors[0],))
-    with pytest.raises(ValueError, match="height"):
-        make_metro((0.0, 0.0), height_m=0.0)
-
-
-def test_sector_invariants_are_enforced():
-    pattern = make_metro((0.0, 0.0)).sectors[0].pattern
-    with pytest.raises(ValueError, match="boresight"):
-        Sector(-0.1, pattern, 0.0)
-    with pytest.raises(ValueError, match="boresight"):
-        Sector(2.0 * math.pi, pattern, 0.0)
-    with pytest.raises(ValueError, match="downtilt"):
-        Sector(0.0, pattern, 90.0)
-
-
-def test_building_invariants_are_enforced():
-    with pytest.raises(ValueError):
-        Building((0.0, 0.0), 0.0, 0.0, 10.0)
-    with pytest.raises(ValueError):
-        Building((0.0, 0.0), 20.0, -0.1, 10.0)
-    with pytest.raises(ValueError):
-        Building((0.0, 0.0), 20.0, math.pi, 10.0)
+    for _ in range(20):
+        n1, n2 = rng.integers(0, 5), rng.integers(1, 10)
+        macro_az = rng.uniform(0.0, 2.0 * math.pi, n1)
+        net = scene(rng.uniform(-2, 2, (n1, 2)), macro_az, rng.uniform(-2, 2, (n2, 2)))
+        powers = sector_mean_powers(scn, net)
+        xy = np.vstack((net.macro_xy, net.metro_xy))[powers.wap_index]
+        d2d = np.maximum(np.hypot(xy[:, 0], xy[:, 1]), MIN_LINK_DISTANCE_KM)
+        is_macro = powers.wap_index < n1
+        for cfg, peak, sel in (
+            (scn.macro, scn.macro.max_gain_dbi, is_macro),
+            (METRO, METRO.antenna().pattern.max_gain_dbi, ~is_macro),
+        ):
+            loss = cfg.pathloss_intercept_db + cfg.pathloss_slope_db * np.log10(d2d[sel])
+            assert np.all(powers.power_dbm[sel] <= cfg.tx_power_dbm + peak - loss + 1e-9)
 
 
 # ------------------------------------------------------------ wall cutting
 
 def wall(center, length_m=20.0, orientation_rad=math.pi / 2.0, height_m=15.0):
-    return Building(center, length_m, orientation_rad, height_m)
+    return (*center, length_m, orientation_rad, height_m)
+
+
+WAP = (0.1, 0.0, 5.0)
+USER = (0.0, 0.0, 0.0)
 
 
 def test_count_blockages_cuts_wall_below_top():
     # path drops from 5 m to ground; the wall at the midpoint is met at 2.5 m
-    assert count_blockages((0.1, 0.0, 5.0), (0.0, 0.0, 0.0), [wall((0.05, 0.0))]) == 1
+    assert path_wall_count(WAP, USER, [wall((0.05, 0.0))]) == 1
 
 
 def test_count_blockages_passes_over_short_wall():
-    short = wall((0.05, 0.0), height_m=2.0)
-    assert count_blockages((0.1, 0.0, 5.0), (0.0, 0.0, 0.0), [short]) == 0
+    assert path_wall_count(WAP, USER, [wall((0.05, 0.0), height_m=2.0)]) == 0
 
 
 def test_count_blockages_parallel_offset_wall_misses():
-    offset = wall((0.05, 0.01), orientation_rad=0.0)
-    assert count_blockages((0.1, 0.0, 5.0), (0.0, 0.0, 0.0), [offset]) == 0
+    assert path_wall_count(WAP, USER, [wall((0.05, 0.01), orientation_rad=0.0)]) == 0
 
 
 def test_count_blockages_endpoint_contact_counts():
     # wall endpoints at y = 0 and y = 0.02; the path along y = 0 touches one
-    touching = Building((0.05, 0.01), 20.0, math.pi / 2.0, 15.0)
-    assert touching.center[1] - touching.length_m * 1e-3 / 2.0 == 0.0
-    assert count_blockages((0.1, 0.0, 5.0), (0.0, 0.0, 0.0), [touching]) == 1
+    touching = wall((0.05, 0.01))
+    assert scene(walls=[touching]).wall_endpoints()[1][0, 1] == 0.0
+    assert path_wall_count(WAP, USER, [touching]) == 1
 
 
 def test_count_blockages_counts_each_wall_once():
     walls = [wall((0.02, 0.0)), wall((0.05, 0.0)), wall((0.08, 0.0)), wall((0.05, 0.01), orientation_rad=0.0)]
-    assert count_blockages((0.1, 0.0, 5.0), (0.0, 0.0, 0.0), walls) == 3
-
-
-def test_count_blockages_vertical_path():
-    flat = Building((0.05, 0.0), 20.0, 0.0, 15.0)  # spans x in [0.04, 0.06] at y=0
-    assert count_blockages((0.05, 0.0, 10.0), (0.05, 0.0, 0.0), [flat]) == 1
-    assert count_blockages((0.051, 0.001, 10.0), (0.051, 0.001, 0.0), [flat]) == 0
-
-
-def test_count_blockages_rejects_identical_endpoints():
-    with pytest.raises(ValueError):
-        count_blockages((0.1, 0.0, 5.0), (0.1, 0.0, 5.0), [])
+    assert path_wall_count(WAP, USER, walls) == 3
 
 
 def _random_scene(rng):
     tx = (rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), rng.uniform(2.0, 35.0))
     rx = (rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05), rng.uniform(0.0, 2.0))
-    buildings = random_buildings(rng, int(rng.integers(0, 12)), span_km=0.06)
-    return tx, rx, buildings
+    return tx, rx, random_walls(rng, int(rng.integers(0, 12)), span_km=0.06)
 
 
 def test_count_blockages_translation_invariance():
     rng = np.random.default_rng(31)
     for _ in range(200):
-        tx, rx, buildings = _random_scene(rng)
+        tx, rx, walls = _random_scene(rng)
         dx, dy = rng.uniform(-3, 3, 2)
-        shifted = [replace(b, center=(b.center[0] + dx, b.center[1] + dy)) for b in buildings]
-        base = count_blockages(tx, rx, buildings)
-        moved = count_blockages(
-            (tx[0] + dx, tx[1] + dy, tx[2]), (rx[0] + dx, rx[1] + dy, rx[2]), shifted
-        )
-        assert base == moved
+        shifted = walls + np.array([dx, dy, 0.0, 0.0, 0.0])
+        moved = path_wall_count((tx[0] + dx, tx[1] + dy, tx[2]), (rx[0] + dx, rx[1] + dy, rx[2]), shifted)
+        assert path_wall_count(tx, rx, walls) == moved
 
 
 def test_count_blockages_symmetry():
+    # the counter takes any user height, so the path can be walked from either end
     rng = np.random.default_rng(32)
     for _ in range(200):
-        tx, rx, buildings = _random_scene(rng)
-        assert count_blockages(tx, rx, buildings) == count_blockages(rx, tx, buildings)
+        tx, rx, walls = _random_scene(rng)
+        assert path_wall_count(tx, rx, walls) == path_wall_count(rx, tx, walls)
 
 
 def test_count_blockages_monotonicity():
     rng = np.random.default_rng(33)
     for _ in range(200):
-        tx, rx, buildings = _random_scene(rng)
-        base = count_blockages(tx, rx, buildings)
-        if buildings:
-            taller = [replace(b, height_m=b.height_m + rng.uniform(0.0, 30.0)) for b in buildings]
-            assert count_blockages(tx, rx, taller) >= base
-        extra = buildings + random_buildings(rng, 1, span_km=0.06)
-        assert count_blockages(tx, rx, extra) >= base
+        tx, rx, walls = _random_scene(rng)
+        base = path_wall_count(tx, rx, walls)
+        taller = walls.copy()
+        taller[:, 4] += rng.uniform(0.0, 30.0, len(walls))
+        assert path_wall_count(tx, rx, taller) >= base
+        extra = np.vstack((walls, random_walls(rng, 1, span_km=0.06)))
+        assert path_wall_count(tx, rx, extra) >= base
 
 
 def test_origin_batch_matches_per_link_counts():
+    # the bearing window must not drop a pair that the all-pairs test counts
     rng = np.random.default_rng(34)
     for _ in range(50):
         n_w = int(rng.integers(1, 40))
         wap_xy = rng.uniform(-0.4, 0.4, (n_w, 2))
         wap_z = rng.uniform(2.0, 35.0, n_w)
         user_z = float(rng.uniform(0.0, 2.0))
-        buildings = random_buildings(rng, int(rng.integers(0, 40)), span_km=0.3)
         # include walls hugging the origin to exercise the full-scan guard
-        buildings += random_buildings(rng, 2, span_km=0.01)
+        walls = np.vstack((random_walls(rng, int(rng.integers(0, 40))), random_walls(rng, 2, span_km=0.01)))
+        net = scene(walls=walls)
+        e1, e2 = net.wall_endpoints()
 
-        centers = np.array([b.center for b in buildings])
-        half = np.array([b.length_m for b in buildings]) * 1e-3 / 2.0
-        orient = np.array([b.orientation_rad for b in buildings])
-        hv = half[:, None] * np.column_stack((np.cos(orient), np.sin(orient)))
-        heights = np.array([b.height_m for b in buildings])
-
-        batch = blockage_counts_from_origin(
-            wap_xy, wap_z, user_z, centers + hv, centers - hv, heights
+        batch = blockage_counts_from_origin(wap_xy, wap_z, user_z, e1, e2, net.building_height_m)
+        all_pairs = _crossing_mask(
+            0.0, 0.0, wap_xy[:, :1], wap_xy[:, 1:], user_z, wap_z[:, None],
+            e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1], net.building_height_m,
         )
-        per_link = np.array(
-            [
-                count_blockages((x, y, z), (0.0, 0.0, user_z), buildings)
-                for (x, y), z in zip(wap_xy, wap_z)
-            ]
-        )
-        assert np.array_equal(batch, per_link)
+        assert np.array_equal(batch, all_pairs.sum(axis=1))
 
 
 def test_footprint_crossing_rate_matches_line_process_formula():

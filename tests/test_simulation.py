@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hetnetsim.association import DegenerateNetworkError, associate
-from hetnetsim.channel import mean_rx_power_dbm
-from hetnetsim.geometry import NetworkSample, Tier, place_network, sample_network
+from hetnetsim.antenna import METRO_ANTENNAS
+from hetnetsim.association import DegenerateNetworkError
+from hetnetsim.geometry import Tier
 from hetnetsim.scenario import PowerMode, Scenario
 from hetnetsim.simulation import (
     DropResult,
@@ -21,22 +23,9 @@ from hetnetsim.simulation import (
     sweep_scenarios,
 )
 
-from conftest import PATHLOSS_BY_TIER, make_macro, make_metro
+from conftest import engine_associate, oracle_associate, oracle_sector_powers, scene
 
 LIGHT = replace(Scenario(), region_radius_km=1.5, drops=64, master_seed=3)
-
-
-def hand_sample(macro_xy, macro_az, metro_xy, empty_buildings=True):
-    nb = 0 if empty_buildings else None
-    return NetworkSample(
-        macro_xy=np.array(macro_xy, dtype=float).reshape(-1, 2),
-        macro_azimuth0_rad=np.array(macro_az, dtype=float),
-        metro_xy=np.array(metro_xy, dtype=float).reshape(-1, 2),
-        building_center_xy=np.empty((0, 2)),
-        building_length_m=np.empty(0),
-        building_height_m=np.empty(0),
-        building_orientation_rad=np.empty(0),
-    )
 
 
 # ------------------------------------------------------------- determinism
@@ -67,67 +56,72 @@ def test_empty_network_is_a_degenerate_drop():
         run_drop(scn, 0)
 
 
-# --------------------------------------------------- engine vs scalar path
+# ------------------------------------------------------- engine vs oracles
 
-def test_engine_powers_match_the_scalar_link_budget():
-    scn = replace(Scenario(), region_radius_km=0.8)
-    rng_objects = np.random.default_rng(101)
-    waps, buildings = place_network(scn, rng_objects)
-    net = sample_network(scn, np.random.default_rng(101))
+def _sized_lists(n, element):
+    return st.lists(element, min_size=n, max_size=n)
 
-    powers = sector_mean_powers(scn, net)
-    flat = 0
-    for i, wap in enumerate(waps):
-        for j, sector in enumerate(wap.sectors):
-            scalar = mean_rx_power_dbm(
-                wap,
-                sector,
-                (0.0, 0.0),
-                scn.user_height_m,
-                buildings,
-                PATHLOSS_BY_TIER[wap.tier],
-                scn.buildings.attenuation_db,
+
+@st.composite
+def desk_scenes(draw):
+    """A scenario with any bias and metro antenna, and a small network of at
+    least two sectors around the origin user."""
+    coord = st.floats(-0.8, 0.8)
+    n_macro = draw(st.integers(0, 4))
+    n_metro = draw(st.integers(0 if n_macro else 2, 9))
+    net = scene(
+        draw(_sized_lists(n_macro, st.tuples(coord, coord))),
+        draw(_sized_lists(n_macro, st.floats(0.0, 2.0 * math.pi, exclude_max=True))),
+        draw(_sized_lists(n_metro, st.tuples(coord, coord))),
+        draw(
+            st.lists(
+                st.tuples(
+                    coord, coord, st.floats(5.0, 40.0), st.floats(0.0, math.pi, exclude_max=True),
+                    st.floats(0.5, 25.0),
+                ),
+                max_size=12,
             )
-            assert powers.power_dbm[flat] == pytest.approx(scalar, rel=1e-12, abs=1e-9)
-            assert powers.wap_index[flat] == i
-            assert powers.sector_index[flat] == j
-            flat += 1
-    assert flat == len(powers.power_dbm)
+        ),
+    )
+    antenna = draw(st.sampled_from(sorted(METRO_ANTENNAS.values(), key=lambda a: a.name)))
+    tilt = draw(st.floats(0.0, 40.0)) if antenna.tiltable else 0.0
+    scn = replace(
+        Scenario(),
+        sir_bias_db=draw(st.floats(-6.0, 12.0)),
+        metro=replace(Scenario().metro, pattern=antenna.name, downtilt_deg=tilt),
+    )
+    return scn, net
 
 
-def test_engine_association_matches_the_typed_path():
-    scn = replace(Scenario(), region_radius_km=0.8)
-    for seed in range(103, 109):
-        waps, buildings = place_network(scn, np.random.default_rng(seed))
-        net = sample_network(scn, np.random.default_rng(seed))
-        drop = evaluate_sample(scn, net)
-        decision = associate(
-            waps,
-            (0.0, 0.0),
-            scn.user_height_m,
-            buildings,
-            scn.sir_bias_db,
-            PATHLOSS_BY_TIER,
-            scn.buildings.attenuation_db,
-        )
-        assert drop.tier is decision.tier
+ORACLE_SETTINGS = settings(max_examples=200, deadline=None)
+
+
+@ORACLE_SETTINGS
+@given(desk_scenes())
+def test_engine_powers_match_the_scalar_link_budget(case):
+    scn, net = case
+    powers = sector_mean_powers(scn, net)
+    oracle = oracle_sector_powers(scn, net)
+    keys = list(zip(powers.wap_index.tolist(), powers.sector_index.tolist()))
+    assert keys == list(oracle)
+    assert powers.power_dbm == pytest.approx([p for _, p in oracle.values()], rel=1e-12)
+
+
+@ORACLE_SETTINGS
+@given(desk_scenes())
+def test_engine_association_matches_the_oracle(case):
+    scn, net = case
+    assert engine_associate(scn, net) == oracle_associate(scn, net)
 
 
 def test_unit_fading_drop_matches_hand_computation():
     # one macro aimed at the user plus one metro, no walls, unit fading
     scn = Scenario()
-    net = hand_sample([(1.0, 0.0)], [math.pi], [(0.1, 0.0)])
+    net = scene([(1.0, 0.0)], [math.pi], [(0.1, 0.0)])
     drop = evaluate_sample(scn, net)
 
-    macro = make_macro((1.0, 0.0), first_azimuth_rad=math.pi)
-    metro = make_metro((0.1, 0.0))
-    dbm = [
-        mean_rx_power_dbm(macro, s, (0.0, 0.0), 0.0, [], PATHLOSS_BY_TIER[Tier.MACRO], -40.0)
-        for s in macro.sectors
-    ] + [mean_rx_power_dbm(metro, metro.sectors[0], (0.0, 0.0), 0.0, [], PATHLOSS_BY_TIER[Tier.METRO], -40.0)]
-    linear = [10.0 ** (p / 10.0) for p in dbm]
+    linear = [10.0 ** (p / 10.0) for _, p in oracle_sector_powers(scn, net).values()]
     total = sum(linear)
-
     asair_macro = 10.0 * math.log10(linear[0] / (total - linear[0]))
     asair_metro = 10.0 * math.log10(linear[3] / (total - linear[3]))
     serving = 3 if asair_metro >= asair_macro - scn.sir_bias_db else 0
@@ -154,11 +148,17 @@ def test_sir_invariant_to_a_common_power_offset():
 
 
 def test_zero_attenuation_equals_disabled_blockage():
+    # walls too low to cut any path stand in for switched-off blockage; both
+    # scenarios make the same draws, so they see the same networks
     neutral = replace(LIGHT, buildings=replace(LIGHT.buildings, attenuation_db=0.0), drops=50)
+    flat_walls = replace(LIGHT.buildings, height_min_m=1e-9, height_max_m=1e-9)
+    flat = replace(LIGHT, buildings=flat_walls, drops=50)
     with_walls = run_many(neutral)
-    without = run_many(neutral, blockage_enabled=False)
+    without = run_many(flat)
     for a, b in zip(with_walls, without):
         assert (a.tier, a.spectral_efficiency, a.sir_db) == (b.tier, b.spectral_efficiency, b.sir_db)
+    assert sum(a.serving_blockages for a in with_walls) > 0
+    assert sum(b.serving_blockages for b in without) == 0
     metrics_a = aggregate(with_walls, neutral.macro.density_per_km2, neutral.metro.density_per_km2)
     metrics_b = aggregate(without, neutral.macro.density_per_km2, neutral.metro.density_per_km2)
     assert metrics_a == metrics_b
