@@ -33,6 +33,11 @@ MIN_LINK_DISTANCE_KM = 1e-3
 
 _SECTOR_OFFSETS_RAD = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
 
+# Bearing bins per WAP in the wall counter's lookup table.  More bins pass
+# fewer candidate pairs to the exact window test but cost a larger table;
+# one per WAP was the fastest of 1, 2 and 3 at the default densities.
+_BINS_PER_WAP = 1
+
 
 class Tier(enum.Enum):
     MACRO = "macro"
@@ -136,7 +141,9 @@ def _crossing_mask(
 ) -> np.ndarray:
     """Elementwise test: does path (a->b, heights za->zb) cut each wall
     below its top?  Endpoint contact counts as a cut; a collinear overlap is
-    tested at the midpoint of the overlap.
+    tested at the midpoint of the overlap.  A wall is collinear when both
+    its endpoints are exactly on the path's line: ``c3`` and ``c4`` are then
+    rounding residue, and their signs would report a cut at ``a``.
     """
     rx = bx - ax
     ry = by - ay
@@ -146,15 +153,15 @@ def _crossing_mask(
     c2 = rx * (e2y - ay) - ry * (e2x - ax)
     c3 = vx * (ay - e1y) - vy * (ax - e1x)
     c4 = vx * (by - e1y) - vy * (bx - e1x)
+    collinear = (c1 == 0.0) & (c2 == 0.0)
     straddle = (c1 * c2 <= 0.0) & (c3 * c4 <= 0.0)
     denom = c3 - c4
-    proper = straddle & (denom != 0.0)
+    proper = straddle & (denom != 0.0) & ~collinear
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(proper, c3 / np.where(denom == 0.0, 1.0, denom), 0.0)
     z_at_cut = za_m + t * (zb_m - za_m)
     crossed = proper & (z_at_cut <= wall_h_m)
 
-    collinear = straddle & (denom == 0.0) & (c1 == 0.0) & (c2 == 0.0)
     if np.any(collinear):
         idx = np.nonzero(np.broadcast_to(collinear, np.shape(crossed)))
         crossed = np.array(crossed, copy=True)
@@ -173,6 +180,17 @@ def _crossing_mask(
     return crossed
 
 
+def _wrap_to_pi(x: np.ndarray) -> np.ndarray:
+    """``np.mod(x + pi, 2 pi) - pi``, bit for bit, for x in (-3 pi, 3 pi).
+
+    On that range the remainder is one exact subtraction or one rounded
+    addition of 2 pi, so two selects replace the division inside ``np.mod``.
+    """
+    y = x + math.pi
+    two_pi = 2.0 * math.pi
+    return np.where(y < 0.0, y + two_pi, np.where(y >= two_pi, y - two_pi, y)) - math.pi
+
+
 def blockage_counts_from_origin(
     wap_xy: np.ndarray,
     wap_height_m: np.ndarray,
@@ -187,7 +205,8 @@ def blockage_counts_from_origin(
     no higher than its top; endpoint contact counts as a cut.  Any point
     where a path cuts a wall has the same bearing as the WAP itself, so
     only walls whose subtended bearing interval contains the WAP bearing
-    need the exact test.
+    need the exact test.  That test also needs the WAP to be no nearer to
+    the user than the wall's nearest point, since a cut lies on both.
     """
     wap_xy = np.ascontiguousarray(wap_xy, dtype=float).reshape(-1, 2)
     wap_height_m = np.ascontiguousarray(wap_height_m, dtype=float)
@@ -199,57 +218,95 @@ def blockage_counts_from_origin(
     if n_w == 0 or n_b == 0:
         return np.zeros(n_w, dtype=np.int64)
 
-    psi1 = np.arctan2(wall_e1[:, 1], wall_e1[:, 0])
-    psi2 = np.arctan2(wall_e2[:, 1], wall_e2[:, 0])
-    spread = np.mod(psi2 - psi1 + math.pi, 2.0 * math.pi) - math.pi  # [-pi, pi)
+    e1x, e1y = wall_e1[:, 0], wall_e1[:, 1]
+    e2x, e2y = wall_e2[:, 0], wall_e2[:, 1]
+    psi1 = np.arctan2(e1y, e1x)
+    psi2 = np.arctan2(e2y, e2x)
+    spread = _wrap_to_pi(psi2 - psi1)  # [-pi, pi)
     half_width = 0.5 * np.abs(spread) + 1e-9
     center = psi1 + 0.5 * spread
+    lo = _wrap_to_pi(center - half_width)
+    hi = lo + 2.0 * half_width
 
     # Walls running (numerically) through the origin subtend no usable
     # interval; test them against every path.
-    vx = wall_e2[:, 0] - wall_e1[:, 0]
-    vy = wall_e2[:, 1] - wall_e1[:, 1]
+    vx = e2x - e1x
+    vy = e2y - e1y
     seg2 = vx**2 + vy**2
-    s = np.clip(-(wall_e1[:, 0] * vx + wall_e1[:, 1] * vy) / seg2, 0.0, 1.0)
-    near2 = (wall_e1[:, 0] + s * vx) ** 2 + (wall_e1[:, 1] + s * vy) ** 2
+    s = np.clip(-(e1x * vx + e1y * vy) / seg2, 0.0, 1.0)
+    near2 = (e1x + s * vx) ** 2 + (e1y + s * vy) ** 2
     at_origin = near2 < 1e-24
 
-    alpha = np.arctan2(wap_xy[:, 1], wap_xy[:, 0])
-    order = np.argsort(alpha, kind="stable")
+    # Bearing window: the WAP bearings, sorted and repeated one turn up,
+    # are cut into bins by a monotone map, so each wall's candidates are
+    # the contiguous run from the bin of ``lo`` to the bin of ``hi``.
+    wap_x = wap_xy[:, 0]
+    wap_y = wap_xy[:, 1]
+    alpha = np.arctan2(wap_y, wap_x)
+    order = np.argsort(alpha)
     alpha_sorted = alpha[order]
     alpha_ext = np.concatenate((alpha_sorted, alpha_sorted + 2.0 * math.pi))
     wap_ext = np.concatenate((order, order))
+    scale = _BINS_PER_WAP * n_w / (2.0 * math.pi)
+    top = 2 * _BINS_PER_WAP * n_w + 1  # alpha_ext + pi reaches 4 pi
 
-    lo = np.mod(center - half_width + math.pi, 2.0 * math.pi) - math.pi
-    hi = lo + 2.0 * half_width
-    start = np.searchsorted(alpha_ext, lo, side="left")
-    stop = np.searchsorted(alpha_ext, hi, side="right")
-    start = np.where(at_origin, 0, start)
-    stop = np.where(at_origin, n_w, stop)
+    def bin_of(angle):
+        return np.minimum(np.floor((angle + math.pi) * scale).astype(np.int64), top)
+
+    first = np.zeros(top + 2, dtype=np.int64)  # first[k]: position of bin k's first bearing
+    np.cumsum(np.bincount(bin_of(alpha_ext), minlength=top + 1), out=first[1:])
+    start = first[bin_of(lo)]
+    stop = first[bin_of(hi) + 1]
+    if at_origin.any():
+        start[at_origin] = 0
+        stop[at_origin] = n_w
+        lo[at_origin] = -np.inf
+        hi[at_origin] = np.inf
 
     counts = stop - start
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(n_w, dtype=np.int64)
+    offsets = np.cumsum(counts) - counts
     pair_wall = np.repeat(np.arange(n_b), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    pair_pos = np.arange(total) - np.repeat(offsets, counts) + np.repeat(start, counts)
+    pair_pos = np.arange(int(counts.sum())) + np.repeat(start - offsets, counts)
     pair_wap = wap_ext[pair_pos]
+    a = alpha_ext[pair_pos]
+    # Keep the pairs inside the exact bearing window whose WAP is not
+    # nearer than the wall; the margin absorbs rounding in near2.
+    d2 = wap_x**2 + wap_y**2
+    keep = (lo[pair_wall] <= a) & (a <= hi[pair_wall])
+    keep &= ~(near2[pair_wall] > d2[pair_wap] * (1.0 + 1e-9))
+    idx = np.flatnonzero(keep)
+    if idx.size == 0:
+        return np.zeros(n_w, dtype=np.int64)
+    pair_wall = pair_wall[idx]
+    pair_wap = pair_wap[idx]
 
-    bx = wap_xy[pair_wap, 0]
-    by = wap_xy[pair_wap, 1]
+    # `_crossing_mask` with the path starting at the origin: the same
+    # arithmetic with ax = ay = 0.0, so every flag is the same.
+    c3_wall = vx * (0.0 - e1y) - vy * (0.0 - e1x)
+    bx = wap_x[pair_wap]
+    by = wap_y[pair_wap]
+    p1x = e1x[pair_wall]
+    p1y = e1y[pair_wall]
+    p2x = e2x[pair_wall]
+    p2y = e2y[pair_wall]
+    c1 = bx * p1y - by * p1x
+    c2 = bx * p2y - by * p2x
+    c3 = c3_wall[pair_wall]
+    c4 = vx[pair_wall] * (by - p1y) - vy[pair_wall] * (bx - p1x)
+    straddle = (c1 * c2 <= 0.0) & (c3 * c4 <= 0.0)
+    denom = c3 - c4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = c3 / denom
+    za = float(user_height_m)
     zb = wap_height_m[pair_wap]
-    mask = _crossing_mask(
-        0.0,
-        0.0,
-        bx,
-        by,
-        float(user_height_m),
-        zb,
-        wall_e1[pair_wall, 0],
-        wall_e1[pair_wall, 1],
-        wall_e2[pair_wall, 0],
-        wall_e2[pair_wall, 1],
-        wall_height_m[pair_wall],
-    )
-    return np.bincount(pair_wap[mask], minlength=n_w).astype(np.int64)
+    # A path along its wall's line needs the overlap test of the generic one.
+    collinear = (c1 == 0.0) & (c2 == 0.0)
+    crossed = straddle & (denom != 0.0) & ~collinear
+    crossed &= za + t * (zb - za) <= wall_height_m[pair_wall]
+    if collinear.any():
+        i = np.flatnonzero(collinear)
+        crossed[i] = _crossing_mask(
+            0.0, 0.0, bx[i], by[i], za, zb[i], p1x[i], p1y[i], p2x[i], p2y[i],
+            wall_height_m[pair_wall[i]],
+        )
+    return np.bincount(pair_wap[crossed], minlength=n_w).astype(np.int64, copy=False)

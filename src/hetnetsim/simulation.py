@@ -258,8 +258,11 @@ def _drop_batch(args) -> list[list[DropResult]]:
     for drop_index in range(start, stop):
         net, fading = _sample_drop(cells[0], drop_index)
         terms = _drop_terms(cells[0], net)
-        for cell, out in zip(cells, results):
-            out.append(_evaluate(terms, cell.metro, cell.sir_bias_db, fading))
+        try:
+            for cell, out in zip(cells, results):
+                out.append(_evaluate(terms, cell.metro, cell.sir_bias_db, fading))
+        except DegenerateNetworkError as exc:
+            raise DegenerateNetworkError(f"drop {drop_index}: {exc}") from exc
     return results
 
 

@@ -209,6 +209,19 @@ def test_workers_below_one_exit_2(runner, command, workers):
     assert "--workers" in result.output
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_degenerate_drop_exits_3_naming_the_drop(runner, workers):
+    # every metro link underflows to zero power, so drop 0 has no interference
+    result = runner.invoke(
+        main,
+        ["simulate", "--workers", workers, "--set", "metro.tx_power_dbm=-5000",
+         "--set", "macro.density_per_km2=0", "--set", "metro.density_per_km2=30",
+         "--set", "simulation.drops=5"],
+    )
+    assert result.exit_code == 3, result.output
+    assert "error: drop 0: no interference power on this drop" in result.stderr
+
+
 def test_unwritable_output_exits_3(runner, tmp_path):
     cfg = write_cfg(tmp_path)
     result = runner.invoke(

@@ -3,19 +3,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hetnetsim.geometry import (
     MIN_LINK_DISTANCE_KM,
     Region,
     _crossing_mask,
+    _wrap_to_pi,
     blockage_counts_from_origin,
     sample_network,
     sample_ppp,
     wrap_angle_deg,
 )
 from hetnetsim.scenario import Scenario
-from hetnetsim.simulation import sector_mean_powers
+from hetnetsim.simulation import _drop_terms, _sample_drop, sector_mean_powers
 
 from conftest import metro_dbm, path_wall_count, random_walls, scene
 
@@ -253,6 +256,21 @@ def test_count_blockages_monotonicity():
         assert path_wall_count(tx, rx, extra) >= base
 
 
+def test_collinear_wall_is_tested_by_overlap_when_side_products_round():
+    # All points on one line through the origin; the wall's endpoints are
+    # exactly on each path's line, but the WAP's side product of the wall
+    # rounds to ~2e-25.  Only the paths that reach the wall are cut.
+    p = np.array([1e-9, -0.1015625])
+    waps = np.array([-2.0, 0.25, 1.0, 2.0])[:, None] * p
+    e1, e2 = 4.0 * p, 0.5 * p
+    mask = _crossing_mask(
+        0.0, 0.0, waps[:, 0], waps[:, 1], 0.0, np.zeros(4), e1[0], e1[1], e2[0], e2[1], 1.0,
+    )
+    assert mask.tolist() == [False, False, True, True]
+    counts = blockage_counts_from_origin(waps, np.zeros(4), 0.0, e1[None], e2[None], np.ones(1))
+    assert counts.tolist() == [0, 0, 1, 1]
+
+
 def test_origin_batch_matches_per_link_counts():
     # the bearing window must not drop a pair that the all-pairs test counts
     rng = np.random.default_rng(34)
@@ -272,6 +290,109 @@ def test_origin_batch_matches_per_link_counts():
             e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1], net.building_height_m,
         )
         assert np.array_equal(batch, all_pairs.sum(axis=1))
+
+
+def all_pairs_counts(wap_xy, wap_z, user_z, e1, e2, wall_h, chunk=256):
+    """Row sums of `_crossing_mask` over every (WAP, wall) pair, ``chunk``
+    walls at a time."""
+    counts = np.zeros(len(wap_xy), dtype=np.int64)
+    for lo in range(0, len(wall_h), chunk):
+        w = slice(lo, lo + chunk)
+        counts += _crossing_mask(
+            0.0, 0.0, wap_xy[:, :1], wap_xy[:, 1:], user_z, wap_z[:, None],
+            e1[w, 0], e1[w, 1], e2[w, 0], e2[w, 1], wall_h[w],
+        ).sum(axis=1)
+    return counts
+
+
+# Dyadic coordinates (km) make exact ties, collinear walls and points on the
+# -x axis (bearing +-pi) common; the floats cover general position.  Nonzero
+# floats stay above 1 um: below ~1e-150 km the oracle's side products
+# underflow to 0 and it reports cuts that do not exist.
+_GRID = st.sampled_from([k / 64.0 for k in range(-8, 9)] + [-0.0])
+_COORD = st.one_of(_GRID, st.floats(1e-9, 0.15), st.floats(-0.15, -1e-9))
+_POINT = st.tuples(_COORD, _COORD)
+_SCALE = st.sampled_from([0.25, 0.5, 1.0, 2.0])  # exact, so bearings tie exactly
+
+
+@st.composite
+def counter_scenes(draw):
+    """WAPs and walls around the origin user, with optional constructions
+    for each way the bearing window, the radial filter and the crossing
+    test can be reached: walls through the origin, walls and WAPs on the
+    +-pi seam, several WAPs on one bearing, walls along a WAP's line on
+    either side of the origin, and WAPs at wall endpoints.
+    """
+    waps = draw(st.lists(_POINT, min_size=1, max_size=8))
+    walls = draw(st.lists(st.tuples(_POINT, _POINT), max_size=8))
+    if draw(st.booleans()):  # through the origin
+        p, k = draw(_POINT), -draw(_SCALE)
+        walls.append((p, (k * p[0], k * p[1])))
+    if draw(st.booleans()):  # the -x axis: bearings pi (y = 0.0) and -pi (y = -0.0)
+        x = -draw(st.floats(1e-3, 0.15))
+        waps += [(x, 0.0), (x, -0.0)]
+        y = draw(st.floats(1e-3, 0.15))
+        walls.append(((draw(st.floats(-0.15, 0.0)), y), (draw(st.floats(-0.15, 0.0)), -y)))
+    if draw(st.booleans()):  # the same bearing at other ranges
+        p = draw(st.sampled_from(waps))
+        waps += [(k * p[0], k * p[1]) for k in draw(st.lists(_SCALE, min_size=1, max_size=3))]
+    if draw(st.booleans()):  # a wall along a WAP's line, on its ray or the opposite one
+        p = draw(st.sampled_from(waps))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        a, b = sign * draw(_SCALE), sign * draw(_SCALE)
+        walls.append(((a * p[0], a * p[1]), (b * p[0], b * p[1])))
+    if walls and draw(st.booleans()):  # a WAP at a wall endpoint
+        waps.append(draw(st.sampled_from(walls))[draw(st.integers(0, 1))])
+    walls = [w for w in walls if w[0] != w[1]] or [((0.01, -0.01), (0.01, 0.01))]
+    n_w, n_b = len(waps), len(walls)
+    e1, e2 = (np.array([w[i] for w in walls], dtype=float).reshape(-1, 2) for i in (0, 1))
+    return (
+        np.array(waps, dtype=float),
+        np.array(draw(st.lists(st.floats(0.0, 40.0), min_size=n_w, max_size=n_w))),
+        draw(st.floats(0.0, 5.0)),
+        e1,
+        e2,
+        np.array(draw(st.lists(st.floats(0.5, 30.0), min_size=n_b, max_size=n_b))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(counter_scenes())
+def test_counter_equals_all_pairs_crossing_mask(case):
+    assert np.array_equal(blockage_counts_from_origin(*case), all_pairs_counts(*case))
+
+
+def test_counter_equals_all_pairs_on_default_drops():
+    # the engine's own inputs at full scale, so the bearing table sees the
+    # default bin occupancy
+    scn = Scenario()
+    n_crossings = 0
+    for drop_index in range(8):
+        net, _ = _sample_drop(scn, drop_index)
+        counts = _drop_terms(scn, net).wap_blockages
+        n1, n2 = len(net.macro_xy), len(net.metro_xy)
+        wap_z = np.concatenate((np.full(n1, scn.macro.height_m), np.full(n2, scn.metro.height_m)))
+        expected = all_pairs_counts(
+            np.vstack((net.macro_xy, net.metro_xy)), wap_z, scn.user_height_m,
+            *net.wall_endpoints(), net.building_height_m,
+        )
+        assert np.array_equal(counts, expected)
+        n_crossings += int(expected.sum())
+    assert n_crossings > 8 * 1000
+
+
+def test_wrap_to_pi_matches_np_mod():
+    two_pi = 2.0 * math.pi
+    edges = [-2.0 * math.pi, -math.pi, -0.0, 0.0, math.pi, 2.0 * math.pi, 2.5 * math.pi]
+    x = np.concatenate((
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        np.random.default_rng(41).uniform(-3.0 * math.pi, 3.0 * math.pi, 100_000),
+    ))
+    x = x[np.abs(x) < 3.0 * math.pi]
+    expected = np.mod(x + math.pi, two_pi) - math.pi
+    assert np.array_equal(_wrap_to_pi(x), expected)
 
 
 def test_footprint_crossing_rate_matches_line_process_formula():
