@@ -17,7 +17,7 @@ from .antenna import (
 )
 from .association import DegenerateNetworkError
 from .config import ConfigError, load_config, parse_config, save_config, scenario_to_config
-from .geometry import Region, Tier, sample_network, sample_ppp
+from .geometry import Tier, sample_network, sample_ppp
 from .scenario import (
     BuildingConfig,
     MacroConfig,

@@ -115,6 +115,13 @@ def simulate(config_path, seed, overrides, out_path, fmt, workers) -> None:
 def sweep(config_path, seed, overrides, out_path, fmt, workers) -> None:
     """Run the pattern x downtilt grid and emit one row per cell."""
     scenario = _load(config_path, overrides, seed)
+    if not simulation.sweep_scenarios(scenario):
+        click.echo(
+            "config error: simulation.sweep_patterns and simulation.sweep_downtilts_deg "
+            "leave no sweep cell",
+            err=True,
+        )
+        sys.exit(2)
     rows = _run(lambda: simulation.run_sweep(scenario, workers=workers))
     _emit(rows, results.RESULT_COLUMNS, out_path, fmt)
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import io
+import functools
+import typing
 from pathlib import Path
 
 from .scenario import (
@@ -27,39 +28,11 @@ from .scenario import (
 
 __all__ = ["ConfigError", "load_config", "parse_config", "scenario_to_config", "save_config"]
 
-_SECTION_TYPES = {
-    "macro": MacroConfig,
-    "metro": MetroConfig,
-    "buildings": BuildingConfig,
-}
 _SIMULATION_SECTION = "simulation"
-_SIMULATION_FIELDS = (
-    "sir_bias_db",
-    "region_radius_km",
-    "user_height_m",
-    "drops",
-    "master_seed",
-    "power_mode",
-    "carrier_frequency_ghz",
-    "sweep_downtilts_deg",
-    "sweep_patterns",
-)
 
 
 class ConfigError(Exception):
     """A scenario file or override could not be parsed or validated."""
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text, 0)
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
 
 
 def _parse_power_mode(text: str) -> PowerMode:
@@ -70,29 +43,37 @@ def _parse_power_mode(text: str) -> PowerMode:
         raise ValueError(f"expected one of: {options}") from None
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    return tuple(float(part) for part in items)
-
-
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-_PARSERS = {
-    "drops": _parse_int,
-    "master_seed": _parse_int,
-    "pattern": _parse_str,
-    "power_mode": _parse_power_mode,
-    "sweep_downtilts_deg": _parse_float_list,
-    "sweep_patterns": _parse_str_list,
+_ITEM_PARSERS = {
+    float: float,
+    int: functools.partial(int, base=0),
+    str: str.strip,
+    PowerMode: _parse_power_mode,
 }
 
 
-def _known_keys(section: str) -> tuple[str, ...]:
-    if section == _SIMULATION_SECTION:
-        return _SIMULATION_FIELDS
-    return tuple(f.name for f in dataclasses.fields(_SECTION_TYPES[section]))
+def _parser(field_type):
+    """The text parser for one field type; ``tuple[T, ...]`` is a
+    comma-separated list of T."""
+    if typing.get_origin(field_type) is tuple:
+        item = _ITEM_PARSERS[typing.get_args(field_type)[0]]
+        return lambda text: tuple(item(p.strip()) for p in text.split(",") if p.strip())
+    return _ITEM_PARSERS[field_type]
+
+
+def _key_parsers(cls) -> dict:
+    """Key -> parser for the fields of ``cls`` that are not sections."""
+    hints = typing.get_type_hints(cls)
+    return {name: _parser(tp) for name, tp in hints.items() if not dataclasses.is_dataclass(tp)}
+
+
+# Section -> key -> parser, in field order: one section per dataclass field
+# of Scenario, then the simulation section for its other fields.
+_SCHEMA = {
+    name: _key_parsers(tp)
+    for name, tp in typing.get_type_hints(Scenario).items()
+    if dataclasses.is_dataclass(tp)
+}
+_SCHEMA[_SIMULATION_SECTION] = _key_parsers(Scenario)
 
 
 def _key_line(text: str, section: str, key: str) -> int | None:
@@ -110,9 +91,8 @@ def _key_line(text: str, section: str, key: str) -> int | None:
 
 
 def _coerce(section: str, key: str, raw: str):
-    parser = _PARSERS.get(key, _parse_float)
     try:
-        return parser(raw)
+        return _SCHEMA[section][key](raw)
     except ValueError as exc:
         detail = str(exc) or "invalid value"
         raise ConfigError(f"invalid value for {section}.{key}: {raw!r} ({detail})") from None
@@ -132,16 +112,13 @@ def parse_config(
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
-    values: dict[str, dict[str, object]] = {
-        name: {} for name in (*_SECTION_TYPES, _SIMULATION_SECTION)
-    }
+    values: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
     for section in parser.sections():
         name = section.lower()
         if name not in values:
             raise ConfigError(f"{source}: unknown section [{section}]")
-        known = _known_keys(name)
         for key, raw in parser.items(section):
-            if key not in known:
+            if key not in _SCHEMA[name]:
                 line = _key_line(text, name, key)
                 where = f" (line {line})" if line else ""
                 raise ConfigError(f"{source}: unknown key {name}.{key}{where}")
@@ -156,7 +133,7 @@ def parse_config(
         section, key = (part.strip().lower() for part in dotted.split(".", 1))
         if section not in values:
             raise ConfigError(f"override: unknown section {section!r}")
-        if key not in _known_keys(section):
+        if key not in _SCHEMA[section]:
             raise ConfigError(f"override: unknown key {section}.{key}")
         values[section][key] = _coerce(section, key, raw)
     if seed_override is not None:
@@ -229,20 +206,12 @@ def _format_value(value) -> str:
 
 def scenario_to_config(scenario: Scenario) -> str:
     """Render a scenario as config text; reloading it compares equal."""
-    out = io.StringIO()
-    for name, section in (
-        ("macro", scenario.macro),
-        ("metro", scenario.metro),
-        ("buildings", scenario.buildings),
-    ):
-        out.write(f"[{name}]\n")
-        for field in dataclasses.fields(section):
-            out.write(f"{field.name} = {_format_value(getattr(section, field.name))}\n")
-        out.write("\n")
-    out.write(f"[{_SIMULATION_SECTION}]\n")
-    for key in _SIMULATION_FIELDS:
-        out.write(f"{key} = {_format_value(getattr(scenario, key))}\n")
-    return out.getvalue()
+    blocks = []
+    for section, keys in _SCHEMA.items():
+        part = scenario if section == _SIMULATION_SECTION else getattr(scenario, section)
+        lines = "".join(f"{key} = {_format_value(getattr(part, key))}\n" for key in keys)
+        blocks.append(f"[{section}]\n{lines}")
+    return "\n".join(blocks)
 
 
 def save_config(scenario: Scenario, path: str | Path) -> None:

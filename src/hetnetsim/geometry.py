@@ -19,7 +19,6 @@ from .scenario import Scenario
 __all__ = [
     "MIN_LINK_DISTANCE_KM",
     "NetworkSample",
-    "Region",
     "Tier",
     "blockage_counts_from_origin",
     "sample_network",
@@ -44,41 +43,24 @@ class Tier(enum.Enum):
     METRO = "metro"
 
 
-@dataclass(frozen=True)
-class Region:
-    """Disc-shaped simulation window."""
-
-    center: tuple[float, float] = (0.0, 0.0)  # km
-    radius_km: float = 5.0
-
-    def __post_init__(self) -> None:
-        if not self.radius_km > 0.0:
-            raise ValueError(f"region radius must be > 0, got {self.radius_km}")
-
-    @property
-    def area_km2(self) -> float:
-        return math.pi * self.radius_km**2
-
-
 def wrap_angle_deg(angle_deg):
     """Wrap an angle in degrees to (-180, 180]."""
     return 180.0 - np.mod(180.0 - np.asarray(angle_deg, dtype=float), 360.0)
 
 
-def sample_ppp(density_per_km2: float, region: Region, rng: np.random.Generator) -> np.ndarray:
-    """Draw one realization of a homogeneous Poisson process on the region.
+def sample_ppp(density_per_km2: float, radius_km: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw one realization of a homogeneous Poisson process on the disc of
+    radius ``radius_km`` around the origin.
 
     Returns an (n, 2) array of positions in km; n is Poisson with mean
     density * area and positions are independent uniforms on the disc.
     """
     if density_per_km2 < 0.0:
         raise ValueError(f"density must be >= 0, got {density_per_km2}")
-    n = rng.poisson(density_per_km2 * region.area_km2)
-    radius = region.radius_km * np.sqrt(rng.random(n))
+    n = rng.poisson(density_per_km2 * (math.pi * radius_km**2))
+    radius = radius_km * np.sqrt(rng.random(n))
     angle = rng.uniform(0.0, 2.0 * math.pi, n)
-    points = np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
-    points += np.asarray(region.center, dtype=float)
-    return points
+    return np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
 
 
 @dataclass(frozen=True)
@@ -113,11 +95,11 @@ def sample_network(scenario: Scenario, rng: np.random.Generator) -> NetworkSampl
     positions, building centers, lengths, heights, orientations.  Metro
     sectors are omnidirectional and consume no azimuth draw.
     """
-    region = Region(center=(0.0, 0.0), radius_km=scenario.region_radius_km)
-    macro_xy = sample_ppp(scenario.macro.density_per_km2, region, rng)
+    radius_km = scenario.region_radius_km
+    macro_xy = sample_ppp(scenario.macro.density_per_km2, radius_km, rng)
     macro_az0 = rng.uniform(0.0, 2.0 * math.pi, len(macro_xy))
-    metro_xy = sample_ppp(scenario.metro.density_per_km2, region, rng)
-    centers = sample_ppp(scenario.buildings.density_per_km2, region, rng)
+    metro_xy = sample_ppp(scenario.metro.density_per_km2, radius_km, rng)
+    centers = sample_ppp(scenario.buildings.density_per_km2, radius_km, rng)
     nb = len(centers)
     b = scenario.buildings
     lengths = rng.uniform(b.length_min_m, b.length_max_m, nb)
@@ -136,47 +118,42 @@ def sample_network(scenario: Scenario, rng: np.random.Generator) -> NetworkSampl
     )
 
 
-def _crossing_mask(
-    ax, ay, bx, by, za_m, zb_m, e1x, e1y, e2x, e2y, wall_h_m
-) -> np.ndarray:
-    """Elementwise test: does path (a->b, heights za->zb) cut each wall
-    below its top?  Endpoint contact counts as a cut; a collinear overlap is
-    tested at the midpoint of the overlap.  A wall is collinear when both
-    its endpoints are exactly on the path's line: ``c3`` and ``c4`` are then
-    rounding residue, and their signs would report a cut at ``a``.
+def _crossing_mask(bx, by, za_m, zb_m, e1x, e1y, e2x, e2y, wall_h_m) -> np.ndarray:
+    """Elementwise test: does the path from the origin (height ``za_m``) to
+    ``b`` (height ``zb_m``) cut each wall below its top?
+
+    Endpoint contact counts as a cut.  The straddle tests compare the signs
+    of two side products, zero counting as either sign, as
+    ``np.sign(c1) * np.sign(c2) <= 0`` does: the product ``c1 * c2`` would
+    underflow to 0 for tiny coordinates.  A wall is collinear when both its
+    endpoints are exactly on the path's line: ``c3`` and ``c4`` are then
+    rounding residue, so the overlap of path and wall is tested at its
+    midpoint instead.
     """
-    rx = bx - ax
-    ry = by - ay
     vx = e2x - e1x
     vy = e2y - e1y
-    c1 = rx * (e1y - ay) - ry * (e1x - ax)
-    c2 = rx * (e2y - ay) - ry * (e2x - ax)
-    c3 = vx * (ay - e1y) - vy * (ax - e1x)
+    c1 = bx * e1y - by * e1x
+    c2 = bx * e2y - by * e2x
+    c3 = vy * e1x - vx * e1y
     c4 = vx * (by - e1y) - vy * (bx - e1x)
     collinear = (c1 == 0.0) & (c2 == 0.0)
-    straddle = (c1 * c2 <= 0.0) & (c3 * c4 <= 0.0)
+    straddle = (np.minimum(c1, c2) <= 0.0) & (np.maximum(c1, c2) >= 0.0)
+    straddle &= (np.minimum(c3, c4) <= 0.0) & (np.maximum(c3, c4) >= 0.0)
     denom = c3 - c4
-    proper = straddle & (denom != 0.0) & ~collinear
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(proper, c3 / np.where(denom == 0.0, 1.0, denom), 0.0)
-    z_at_cut = za_m + t * (zb_m - za_m)
-    crossed = proper & (z_at_cut <= wall_h_m)
+    with np.errstate(divide="ignore", invalid="ignore"):  # t is inf where denom == 0
+        t = c3 / denom
+        z_at_cut = za_m + t * (zb_m - za_m)
+    crossed = straddle & (denom != 0.0) & ~collinear & (z_at_cut <= wall_h_m)
 
     if np.any(collinear):
-        idx = np.nonzero(np.broadcast_to(collinear, np.shape(crossed)))
-        crossed = np.array(crossed, copy=True)
-        for flat in zip(*idx):
-            pick = lambda arr: float(np.broadcast_to(arr, np.shape(crossed))[flat])
-            r2 = pick(rx) ** 2 + pick(ry) ** 2
-            if r2 == 0.0:
-                continue
-            s1 = ((pick(e1x) - pick(ax)) * pick(rx) + (pick(e1y) - pick(ay)) * pick(ry)) / r2
-            s2 = ((pick(e2x) - pick(ax)) * pick(rx) + (pick(e2y) - pick(ay)) * pick(ry)) / r2
-            lo = max(0.0, min(s1, s2))
-            hi = min(1.0, max(s1, s2))
-            if lo <= hi:
-                z_mid = pick(za_m) + 0.5 * (lo + hi) * (pick(zb_m) - pick(za_m))
-                crossed[flat] = z_mid <= pick(wall_h_m)
+        r2 = bx * bx + by * by
+        with np.errstate(divide="ignore", invalid="ignore"):  # r2 == 0 is no path
+            s1 = (e1x * bx + e1y * by) / r2
+            s2 = (e2x * bx + e2y * by) / r2
+        lo = np.maximum(0.0, np.minimum(s1, s2))
+        hi = np.minimum(1.0, np.maximum(s1, s2))
+        z_mid = za_m + 0.5 * (lo + hi) * (zb_m - za_m)
+        crossed |= collinear & (r2 != 0.0) & (lo <= hi) & (z_mid <= wall_h_m)
     return crossed
 
 
@@ -280,33 +257,9 @@ def blockage_counts_from_origin(
     pair_wall = pair_wall[idx]
     pair_wap = pair_wap[idx]
 
-    # `_crossing_mask` with the path starting at the origin: the same
-    # arithmetic with ax = ay = 0.0, so every flag is the same.
-    c3_wall = vx * (0.0 - e1y) - vy * (0.0 - e1x)
-    bx = wap_x[pair_wap]
-    by = wap_y[pair_wap]
-    p1x = e1x[pair_wall]
-    p1y = e1y[pair_wall]
-    p2x = e2x[pair_wall]
-    p2y = e2y[pair_wall]
-    c1 = bx * p1y - by * p1x
-    c2 = bx * p2y - by * p2x
-    c3 = c3_wall[pair_wall]
-    c4 = vx[pair_wall] * (by - p1y) - vy[pair_wall] * (bx - p1x)
-    straddle = (c1 * c2 <= 0.0) & (c3 * c4 <= 0.0)
-    denom = c3 - c4
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = c3 / denom
-    za = float(user_height_m)
-    zb = wap_height_m[pair_wap]
-    # A path along its wall's line needs the overlap test of the generic one.
-    collinear = (c1 == 0.0) & (c2 == 0.0)
-    crossed = straddle & (denom != 0.0) & ~collinear
-    crossed &= za + t * (zb - za) <= wall_height_m[pair_wall]
-    if collinear.any():
-        i = np.flatnonzero(collinear)
-        crossed[i] = _crossing_mask(
-            0.0, 0.0, bx[i], by[i], za, zb[i], p1x[i], p1y[i], p2x[i], p2y[i],
-            wall_height_m[pair_wall[i]],
-        )
+    crossed = _crossing_mask(
+        wap_x[pair_wap], wap_y[pair_wap], float(user_height_m), wap_height_m[pair_wap],
+        e1x[pair_wall], e1y[pair_wall], e2x[pair_wall], e2y[pair_wall],
+        wall_height_m[pair_wall],
+    )
     return np.bincount(pair_wap[crossed], minlength=n_w).astype(np.int64, copy=False)

@@ -201,6 +201,31 @@ def test_validate_caps_the_expected_points_per_drop(runner, override):
     assert "density_per_km2" in result.output
 
 
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_validate_rejects_nonpositive_region_radius(runner, radius):
+    result = runner.invoke(main, ["validate", "--set", f"simulation.region_radius_km={radius}"])
+    assert result.exit_code == 2, result.output
+    assert "simulation.region_radius_km must be > 0" in result.output
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["simulation.sweep_patterns="],
+        ["simulation.sweep_patterns=dipole1", "simulation.sweep_downtilts_deg=10"],
+    ],
+)
+def test_sweep_with_an_empty_grid_exits_2(runner, overrides):
+    args = ["sweep", "--set", "simulation.drops=4"]
+    for item in overrides:
+        args += ["--set", item]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("config error:")
+    assert "simulation.sweep_patterns" in result.output
+    assert "simulation.sweep_downtilts_deg" in result.output
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_exit_2(runner, command, workers):

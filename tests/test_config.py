@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 from hetnetsim.config import ConfigError, load_config, parse_config, save_config, scenario_to_config
-from hetnetsim.scenario import PowerMode, Scenario
+from hetnetsim.scenario import BuildingConfig, MacroConfig, MetroConfig, PowerMode, Scenario
 
 
 def test_empty_config_yields_all_defaults(tmp_path):
@@ -130,3 +132,68 @@ def test_round_trip_preserves_full_float_precision():
     scn = parse_config("[macro]\ndensity_per_km2 = 2.0500000000000003\n")
     again = parse_config(scenario_to_config(scn))
     assert again.macro.density_per_km2 == scn.macro.density_per_km2
+
+
+# One valid, non-default value per key: (override text, parsed value).
+EVERY_KEY = {
+    "macro.tx_power_dbm": ("43.5", 43.5),
+    "macro.density_per_km2": ("1.5", 1.5),
+    "macro.height_m": ("25", 25.0),
+    "macro.horiz_hpbw_deg": ("70", 70.0),
+    "macro.front_back_ratio_db": ("20", 20.0),
+    "macro.vert_hpbw_deg": ("8", 8.0),
+    "macro.side_lobe_db": ("-20", -20.0),
+    "macro.max_gain_dbi": ("17", 17.0),
+    "macro.downtilt_deg": ("6", 6.0),
+    "macro.pathloss_intercept_db": ("130.5", 130.5),
+    "macro.pathloss_slope_db": ("35", 35.0),
+    "metro.tx_power_dbm": ("30", 30.0),
+    "metro.density_per_km2": ("12", 12.0),
+    "metro.height_m": ("6", 6.0),
+    "metro.pattern": (" dipole2 ", "dipole2"),
+    "metro.downtilt_deg": ("4", 4.0),
+    "metro.pathloss_intercept_db": ("141", 141.0),
+    "metro.pathloss_slope_db": ("36", 36.0),
+    "buildings.density_per_km2": ("20", 20.0),
+    "buildings.attenuation_db": ("-30", -30.0),
+    "buildings.length_min_m": ("15", 15.0),
+    "buildings.length_max_m": ("25", 25.0),
+    "buildings.height_min_m": ("8", 8.0),
+    "buildings.height_max_m": ("18", 18.0),
+    "simulation.sir_bias_db": ("3", 3.0),
+    "simulation.region_radius_km": ("2.5", 2.5),
+    "simulation.user_height_m": ("1.5", 1.5),
+    "simulation.drops": ("0x20", 32),
+    "simulation.master_seed": ("42", 42),
+    "simulation.power_mode": ("same_eirp", PowerMode.SAME_EIRP),
+    "simulation.carrier_frequency_ghz": ("3.5", 3.5),
+    "simulation.sweep_downtilts_deg": ("0, 5,12.5", (0.0, 5.0, 12.5)),
+    "simulation.sweep_patterns": ("dipole4,quasi_omni", ("dipole4", "quasi_omni")),
+}
+
+
+def _config_sections(scn):
+    return {"macro": scn.macro, "metro": scn.metro, "buildings": scn.buildings, "simulation": scn}
+
+
+def test_every_dataclass_field_is_a_config_key():
+    keys = {
+        f"{section}.{f.name}"
+        for section, cls in (("macro", MacroConfig), ("metro", MetroConfig), ("buildings", BuildingConfig))
+        for f in dataclasses.fields(cls)
+    }
+    keys |= {f"simulation.{f.name}" for f in dataclasses.fields(Scenario)} - {
+        "simulation.macro", "simulation.metro", "simulation.buildings"
+    }
+    assert set(EVERY_KEY) == keys
+
+
+def test_every_key_parses_into_the_scenario_and_round_trips():
+    # in same_eirp mode the metro power plus dipole2's 5.15 dBi fill the 35.15 dBm budget
+    scn = parse_config("", overrides=tuple(f"{key}={text}" for key, (text, _) in EVERY_KEY.items()))
+    parsed, defaults = _config_sections(scn), _config_sections(Scenario())
+    for key, (_, value) in EVERY_KEY.items():
+        section, name = key.split(".")
+        assert getattr(defaults[section], name) != value, f"{key} is its default"
+        assert getattr(parsed[section], name) == value, key
+    assert parse_config(scenario_to_config(scn)) == scn

@@ -9,7 +9,6 @@ from scipy import stats
 
 from hetnetsim.geometry import (
     MIN_LINK_DISTANCE_KM,
-    Region,
     _crossing_mask,
     _wrap_to_pi,
     blockage_counts_from_origin,
@@ -33,27 +32,21 @@ def small_scenario(radius_km=2.0):
 
 def test_sample_ppp_zero_density_is_empty():
     rng = np.random.default_rng(0)
-    points = sample_ppp(0.0, Region((0.0, 0.0), 5.0), rng)
+    points = sample_ppp(0.0, 5.0, rng)
     assert points.shape == (0, 2)
 
 
 def test_sample_ppp_rejects_negative_density():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="density"):
-        sample_ppp(-1.0, Region((0.0, 0.0), 5.0), rng)
-
-
-def test_region_rejects_nonpositive_radius():
-    with pytest.raises(ValueError):
-        Region((0.0, 0.0), 0.0)
+        sample_ppp(-1.0, 5.0, rng)
 
 
 def test_sample_ppp_count_moments():
     # mean and variance of the count both equal density * area
     rng = np.random.default_rng(42)
-    region = Region((0.0, 0.0), 1.0)
-    lam = 6.0 / region.area_km2  # mean count 6
-    counts = np.array([len(sample_ppp(lam, region, rng)) for _ in range(10_000)])
+    lam = 6.0 / math.pi  # mean count 6 on the unit disc
+    counts = np.array([len(sample_ppp(lam, 1.0, rng)) for _ in range(10_000)])
     se_mean = math.sqrt(6.0 / len(counts))
     assert counts.mean() == pytest.approx(6.0, abs=3.0 * se_mean)
     # Var(s^2) ~ (mu4 - sigma^4)/n with mu4 = lam(1+3lam) for Poisson
@@ -64,8 +57,7 @@ def test_sample_ppp_count_moments():
 def test_sample_ppp_count_is_poisson():
     # chi-square goodness of fit against the exact pmf at significance 0.01
     rng = np.random.default_rng(7)
-    region = Region((0.0, 0.0), 1.0)
-    counts = np.array([len(sample_ppp(6.0 / region.area_km2, region, rng)) for _ in range(10_000)])
+    counts = np.array([len(sample_ppp(6.0 / math.pi, 1.0, rng)) for _ in range(10_000)])
     kmax = 14
     observed = np.array(
         [np.count_nonzero(counts == k) for k in range(kmax)] + [np.count_nonzero(counts >= kmax)]
@@ -79,14 +71,12 @@ def test_sample_ppp_count_is_poisson():
 
 def test_sample_ppp_points_are_uniform_on_the_disc():
     rng = np.random.default_rng(3)
-    region = Region((2.0, -1.0), 1.0)
-    points = sample_ppp(2000.0 / region.area_km2, region, rng)
-    rel = points - np.array(region.center)
-    r2 = (rel**2).sum(axis=1)
+    points = sample_ppp(2000.0 / math.pi, 1.0, rng)
+    r2 = (points**2).sum(axis=1)
     # r^2 is uniform on (0, R^2) for a uniform disc
     se = 1.0 / math.sqrt(12.0 * len(points))
     assert r2.mean() == pytest.approx(0.5, abs=3.0 * se)
-    angles = np.arctan2(rel[:, 1], rel[:, 0])
+    angles = np.arctan2(points[:, 1], points[:, 0])
     observed, _ = np.histogram(angles, bins=8, range=(-math.pi, math.pi))
     _, p_value = stats.chisquare(observed)
     assert p_value > 0.01
@@ -263,12 +253,20 @@ def test_collinear_wall_is_tested_by_overlap_when_side_products_round():
     p = np.array([1e-9, -0.1015625])
     waps = np.array([-2.0, 0.25, 1.0, 2.0])[:, None] * p
     e1, e2 = 4.0 * p, 0.5 * p
-    mask = _crossing_mask(
-        0.0, 0.0, waps[:, 0], waps[:, 1], 0.0, np.zeros(4), e1[0], e1[1], e2[0], e2[1], 1.0,
-    )
+    mask = _crossing_mask(waps[:, 0], waps[:, 1], 0.0, np.zeros(4), e1[0], e1[1], e2[0], e2[1], 1.0)
     assert mask.tolist() == [False, False, True, True]
     counts = blockage_counts_from_origin(waps, np.zeros(4), 0.0, e1[None], e2[None], np.ones(1))
     assert counts.tolist() == [0, 0, 1, 1]
+
+
+def test_side_products_that_underflow_do_not_report_a_cut():
+    # c1 * c2 = -5.75e-301 * -2.875e-301 underflows to 0, which a product
+    # straddle test reads as a cut; the path points away from the wall.
+    wap = np.array([[-0.125, 2.3e-300]])
+    e1, e2 = np.array([[0.25, -0.0]]), np.array([[0.125, -0.0]])
+    mask = _crossing_mask(wap[:, 0], wap[:, 1], 0.0, np.zeros(1), e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1], 10.0)
+    assert mask.tolist() == [False]
+    assert blockage_counts_from_origin(wap, np.zeros(1), 0.0, e1, e2, np.full(1, 10.0)).tolist() == [0]
 
 
 def test_origin_batch_matches_per_link_counts():
@@ -286,7 +284,7 @@ def test_origin_batch_matches_per_link_counts():
 
         batch = blockage_counts_from_origin(wap_xy, wap_z, user_z, e1, e2, net.building_height_m)
         all_pairs = _crossing_mask(
-            0.0, 0.0, wap_xy[:, :1], wap_xy[:, 1:], user_z, wap_z[:, None],
+            wap_xy[:, :1], wap_xy[:, 1:], user_z, wap_z[:, None],
             e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1], net.building_height_m,
         )
         assert np.array_equal(batch, all_pairs.sum(axis=1))
@@ -299,7 +297,7 @@ def all_pairs_counts(wap_xy, wap_z, user_z, e1, e2, wall_h, chunk=256):
     for lo in range(0, len(wall_h), chunk):
         w = slice(lo, lo + chunk)
         counts += _crossing_mask(
-            0.0, 0.0, wap_xy[:, :1], wap_xy[:, 1:], user_z, wap_z[:, None],
+            wap_xy[:, :1], wap_xy[:, 1:], user_z, wap_z[:, None],
             e1[w, 0], e1[w, 1], e2[w, 0], e2[w, 1], wall_h[w],
         ).sum(axis=1)
     return counts
@@ -307,8 +305,10 @@ def all_pairs_counts(wap_xy, wap_z, user_z, e1, e2, wall_h, chunk=256):
 
 # Dyadic coordinates (km) make exact ties, collinear walls and points on the
 # -x axis (bearing +-pi) common; the floats cover general position.  Nonzero
-# floats stay above 1 um: below ~1e-150 km the oracle's side products
-# underflow to 0 and it reports cuts that do not exist.
+# floats stay above 1 um: below ~1e-154 km the counter's wall length and
+# nearest-point distance (seg2, near2) underflow, so a wall through the
+# origin misses the full scan and the counter drops cuts the all-pairs test
+# reports.
 _GRID = st.sampled_from([k / 64.0 for k in range(-8, 9)] + [-0.0])
 _COORD = st.one_of(_GRID, st.floats(1e-9, 0.15), st.floats(-0.15, -1e-9))
 _POINT = st.tuples(_COORD, _COORD)
@@ -362,6 +362,43 @@ def test_counter_equals_all_pairs_crossing_mask(case):
     assert np.array_equal(blockage_counts_from_origin(*case), all_pairs_counts(*case))
 
 
+def overlap_reference(bx, by, za, zb, e1, e2, wall_h):
+    """Cut test for a wall on the path's line, one pair at a time: the
+    overlap of path and wall, tested at its midpoint."""
+    r2 = bx * bx + by * by
+    if r2 == 0.0:
+        return False
+    s1 = (e1[0] * bx + e1[1] * by) / r2
+    s2 = (e2[0] * bx + e2[1] * by) / r2
+    lo, hi = max(0.0, min(s1, s2)), min(1.0, max(s1, s2))
+    return lo <= hi and za + 0.5 * (lo + hi) * (zb - za) <= wall_h
+
+
+_SIGNED_SCALE = st.sampled_from([-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _POINT,
+    st.lists(st.tuples(_SIGNED_SCALE, st.floats(0.0, 40.0)), min_size=1, max_size=6),
+    st.lists(st.tuples(_SIGNED_SCALE, _SIGNED_SCALE, st.floats(0.5, 30.0)), min_size=1, max_size=6),
+    st.floats(0.0, 5.0),
+)
+def test_collinear_walls_match_the_pairwise_overlap_test(p, waps, walls, za):
+    # WAPs and wall ends at power-of-two multiples of one point, so every
+    # side product c1, c2 is exactly zero
+    k, zb = (np.array(col) for col in zip(*waps))
+    a, b, h = (np.array(col) for col in zip(*walls))
+    bx, by = (k * p[0])[:, None], (k * p[1])[:, None]
+    e1, e2 = np.column_stack((a * p[0], a * p[1])), np.column_stack((b * p[0], b * p[1]))
+    mask = _crossing_mask(bx, by, za, zb[:, None], e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1], h)
+    expected = [
+        [overlap_reference(bx[i, 0], by[i, 0], za, zb[i], e1[j], e2[j], h[j]) for j in range(len(h))]
+        for i in range(len(k))
+    ]
+    assert mask.tolist() == expected
+
+
 def test_counter_equals_all_pairs_on_default_drops():
     # the engine's own inputs at full scale, so the bearing table sees the
     # default bin occupancy
@@ -401,14 +438,14 @@ def test_footprint_crossing_rate_matches_line_process_formula():
     density = 600.0
     length_km = 0.1
     mean_len_km = 0.0225
-    field = Region((0.0, 0.0), 0.13)
+    field_radius_km = 0.13
     expected = 2.0 * density * mean_len_km * length_km / math.pi
 
     n_fields = 2000
     paths_per_field = 50
     field_means = np.empty(n_fields)
     for i in range(n_fields):
-        centers = sample_ppp(density, field, rng)
+        centers = sample_ppp(density, field_radius_km, rng)
         n_b = len(centers)
         lengths = rng.uniform(20.0, 25.0, n_b)  # E[L] = 22.5 m
         orient = rng.uniform(0.0, math.pi, n_b)
