@@ -31,8 +31,6 @@ from .simulation import (
     NetworkMetrics,
     aggregate,
     cell_radius,
-    evaluate_sample,
-    run_drop,
     run_many,
     run_sweep,
 )

@@ -68,9 +68,13 @@ def _check_floor(value: float, name: str) -> None:
 
 
 class _ComposedGain:
-    """Shared dBi composition for all pattern families."""
+    """Shared dBi composition for all pattern families; omnidirectional in
+    azimuth unless a family overrides `horizontal_gain_db`."""
 
     max_gain_dbi: float
+
+    def horizontal_gain_db(self, phi_deg):
+        return np.zeros_like(np.asarray(phi_deg, dtype=float))
 
     def total_gain_dbi(self, phi_deg, theta_deg, downtilt_deg):
         """Full 3D gain in dBi for boresight offset ``phi_deg`` and downward
@@ -122,7 +126,8 @@ class SectorPattern(_ComposedGain):
 
 @dataclass(frozen=True)
 class QuasiOmniPattern(_ComposedGain):
-    """Horizontally omnidirectional pattern with a parabolic vertical lobe."""
+    """Horizontally omnidirectional pattern with the sector's parabolic
+    vertical lobe."""
 
     vert_hpbw_deg: float
     side_lobe_db: float
@@ -134,15 +139,7 @@ class QuasiOmniPattern(_ComposedGain):
         if not math.isfinite(self.max_gain_dbi):
             raise ValueError("max_gain_dbi must be finite")
 
-    def horizontal_gain_db(self, phi_deg):
-        return np.zeros_like(np.asarray(phi_deg, dtype=float))
-
-    def vertical_gain_db(self, theta_deg, downtilt_deg):
-        off = np.asarray(theta_deg, dtype=float) - downtilt_deg
-        return np.maximum(
-            -_VERT_LOBE_COEFF * (off / self.vert_hpbw_deg) ** 2,
-            self.side_lobe_db,
-        )
+    vertical_gain_db = SectorPattern.vertical_gain_db
 
 
 @dataclass(frozen=True)
@@ -166,9 +163,6 @@ class DipolePattern(_ComposedGain):
         if not math.isfinite(self.max_gain_dbi):
             raise ValueError("max_gain_dbi must be finite")
         object.__setattr__(self, "exponent", dipole_exponent(self.vert_hpbw_deg))
-
-    def horizontal_gain_db(self, phi_deg):
-        return np.zeros_like(np.asarray(phi_deg, dtype=float))
 
     def vertical_gain_db(self, theta_deg, downtilt_deg):
         off = np.radians(np.asarray(theta_deg, dtype=float) - downtilt_deg)

@@ -206,13 +206,15 @@ def blockage_counts_from_origin(
     hi = lo + 2.0 * half_width
 
     # Walls running (numerically) through the origin subtend no usable
-    # interval; test them against every path.
+    # interval; test them against every path.  Below ~1e-154 km seg2
+    # underflows to 0 and near2 is NaN, which also counts as at the origin.
     vx = e2x - e1x
     vy = e2y - e1y
     seg2 = vx**2 + vy**2
-    s = np.clip(-(e1x * vx + e1y * vy) / seg2, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip(-(e1x * vx + e1y * vy) / seg2, 0.0, 1.0)
     near2 = (e1x + s * vx) ** 2 + (e1y + s * vy) ** 2
-    at_origin = near2 < 1e-24
+    at_origin = ~(near2 >= 1e-24)
 
     # Bearing window: the WAP bearings, sorted and repeated one turn up,
     # are cut into bins by a monotone map, so each wall's candidates are

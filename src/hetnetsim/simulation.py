@@ -96,7 +96,6 @@ class SectorPowers:
     n_macro_sectors: int
     wap_index: np.ndarray  # (S,) macros 0..n1-1, metros n1..n1+n2-1
     sector_index: np.ndarray  # (S,) 0..2 for macros, 0 for metros
-    wap_blockages: np.ndarray  # (n1+n2,) walls on each WAP-user path
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,6 @@ def sector_mean_powers(scenario: Scenario, net: NetworkSample) -> SectorPowers:
         n_macro_sectors=3 * n1,
         wap_index=np.concatenate((np.repeat(np.arange(n1), 3), np.arange(n1, n1 + n2))),
         sector_index=np.concatenate((np.tile(np.arange(3), n1), np.zeros(n2, dtype=np.int64))),
-        wap_blockages=terms.wap_blockages,
     )
 
 
@@ -275,12 +273,7 @@ def _shared_part(cell: Scenario) -> Scenario:
     )
 
 
-def run_cells(
-    cells: list[Scenario],
-    *,
-    workers: int = 1,
-    executor: ProcessPoolExecutor | None = None,
-) -> list[list[DropResult]]:
+def run_cells(cells: list[Scenario], *, workers: int = 1) -> list[list[DropResult]]:
     """Run the drops of every cell, sampling each drop once for all of them.
 
     The cells may differ only in ``metro.pattern``, ``metro.downtilt_deg``,
@@ -298,32 +291,21 @@ def run_cells(
             "cells of one run may differ only in metro pattern, downtilt and power"
         )
     n = cells[0].drops
-    if workers <= 1 and executor is None:
+    if workers <= 1:
         return _drop_batch((cells, 0, n))
-    n_batches = min(n, max(workers, 1) * 4)
-    bounds = np.linspace(0, n, n_batches + 1).astype(int)
+    bounds = np.linspace(0, n, min(n, workers * 4) + 1).astype(int)
     tasks = [(cells, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     results: list[list[DropResult]] = [[] for _ in cells]
-    local = executor is None
-    pool = executor or ProcessPoolExecutor(max_workers=workers)
-    try:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for batch in pool.map(_drop_batch, tasks):
             for out, part in zip(results, batch):
                 out.extend(part)
-    finally:
-        if local:
-            pool.shutdown()
     return results
 
 
-def run_many(
-    scenario: Scenario,
-    *,
-    workers: int = 1,
-    executor: ProcessPoolExecutor | None = None,
-) -> list[DropResult]:
+def run_many(scenario: Scenario, *, workers: int = 1) -> list[DropResult]:
     """Run ``scenario.drops`` drops, in drop-index order (a one-cell `run_cells`)."""
-    return run_cells([scenario], workers=workers, executor=executor)[0]
+    return run_cells([scenario], workers=workers)[0]
 
 
 def aggregate(
@@ -430,36 +412,28 @@ def result_row(scenario: Scenario, metrics: NetworkMetrics) -> dict:
     }
 
 
-def sweep_scenarios(
-    scenario: Scenario,
-    downtilts_deg: list[float] | None = None,
-    patterns: list[str] | None = None,
-    power_mode: PowerMode | None = None,
-) -> list[Scenario]:
+def sweep_scenarios(scenario: Scenario) -> list[Scenario]:
     """The per-cell scenarios of a sweep, in pattern-major order.
 
-    Every cell keeps the template's master seed; tilted cells of
-    non-tiltable antennas are dropped from the grid.
+    The grid is ``sweep_patterns`` x ``sweep_downtilts_deg`` under
+    ``power_mode``.  Every cell keeps the template's master seed; tilted
+    cells of non-tiltable antennas are dropped from the grid.
     """
-    tilts = scenario.sweep_downtilts_deg if downtilts_deg is None else downtilts_deg
-    names = scenario.sweep_patterns if patterns is None else patterns
-    mode = scenario.power_mode if power_mode is None else power_mode
     cells = []
-    for name in names:
+    for name in scenario.sweep_patterns:
         antenna = metro_antenna(name)
-        for tilt in tilts:
+        for tilt in scenario.sweep_downtilts_deg:
             if tilt != 0.0 and not antenna.tiltable:
                 continue
             cells.append(
                 replace(
                     scenario,
-                    power_mode=mode,
                     metro=replace(
                         scenario.metro,
                         pattern=name,
                         downtilt_deg=float(tilt),
                         tx_power_dbm=metro_tx_power_dbm(
-                            name, mode, scenario.metro.tx_power_dbm
+                            name, scenario.power_mode, scenario.metro.tx_power_dbm
                         ),
                     ),
                 )
@@ -467,20 +441,13 @@ def sweep_scenarios(
     return cells
 
 
-def run_sweep(
-    scenario: Scenario,
-    downtilts_deg: list[float] | None = None,
-    patterns: list[str] | None = None,
-    power_mode: PowerMode | None = None,
-    *,
-    workers: int = 1,
-) -> list[dict]:
-    """One metrics row per (pattern, downtilt) cell.
+def run_sweep(scenario: Scenario, *, workers: int = 1) -> list[dict]:
+    """One metrics row per (pattern, downtilt) cell of `sweep_scenarios`.
 
     Every cell reuses the scenario's master seed, so rows differ only in the
     swept parameter.
     """
-    cells = sweep_scenarios(scenario, downtilts_deg, patterns, power_mode)
+    cells = sweep_scenarios(scenario)
     return [
         result_row(cell, aggregate(drops, cell.macro.density_per_km2, cell.metro.density_per_km2))
         for cell, drops in zip(cells, run_cells(cells, workers=workers))

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per exit criterion, one printed line each.
 
 The statistical criteria (7-10) share two downtilt sweeps (one per power
-mode) run at HETNETSIM_ACCEPTANCE_DROPS drops per cell (default 10,000)
-with a common master seed, so cells differ only in the swept parameter and
-cross-cell comparisons can use paired per-drop differences.
+mode) run as one shared-geometry pass at HETNETSIM_ACCEPTANCE_DROPS drops
+per cell (default 10,000) with a common master seed, so cells differ only
+in the swept parameter and cross-cell comparisons can use paired per-drop
+differences.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,23 +79,30 @@ def _paired_ase_se(a: CellData, b: CellData, lam1, lam2) -> float:
 
 @pytest.fixture(scope="module")
 def sweeps():
-    """Both power-mode sweeps, with per-drop data retained per cell."""
-    template = replace(Scenario(), drops=ACCEPT_DROPS, master_seed=ACCEPT_SEED)
+    """Both power-mode sweeps as one shared-geometry run, with per-drop data
+    retained per cell."""
+    template = replace(
+        Scenario(),
+        drops=ACCEPT_DROPS,
+        master_seed=ACCEPT_SEED,
+        sweep_downtilts_deg=SWEEP_TILTS,
+        sweep_patterns=PATTERN_ORDER,
+    )
+    grid = [
+        cell
+        for mode in (PowerMode.SAME_POWER, PowerMode.SAME_EIRP)
+        for cell in sweep_scenarios(replace(template, power_mode=mode))
+    ]
     workers = os.cpu_count() or 1
     cells: dict[tuple[str, str, float], CellData] = {}
     t0 = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for mode in (PowerMode.SAME_POWER, PowerMode.SAME_EIRP):
-            grid = sweep_scenarios(template, list(SWEEP_TILTS), list(PATTERN_ORDER), mode)
-            for cell, drops in zip(grid, run_cells(grid, workers=workers, executor=pool)):
-                metrics = aggregate(
-                    drops, cell.macro.density_per_km2, cell.metro.density_per_km2
-                )
-                cells[(mode.value, cell.metro.pattern, cell.metro.downtilt_deg)] = CellData(
-                    row=result_row(cell, metrics),
-                    se=np.array([d.spectral_efficiency for d in drops]),
-                    is_metro=np.array([d.tier is Tier.METRO for d in drops]),
-                )
+    for cell, drops in zip(grid, run_cells(grid, workers=workers)):
+        metrics = aggregate(drops, cell.macro.density_per_km2, cell.metro.density_per_km2)
+        cells[(cell.power_mode.value, cell.metro.pattern, cell.metro.downtilt_deg)] = CellData(
+            row=result_row(cell, metrics),
+            se=np.array([d.spectral_efficiency for d in drops]),
+            is_metro=np.array([d.tier is Tier.METRO for d in drops]),
+        )
     elapsed = time.perf_counter() - t0
     print(
         f"\n[acceptance] {len(cells)} sweep cells x {ACCEPT_DROPS} drops "

@@ -143,7 +143,8 @@ def test_sweep_emits_one_row_per_grid_cell(runner, tmp_path):
         "sweep_downtilts_deg = 0, 8\nsweep_patterns = dipole1, quasi_omni\n",
     )
     out = tmp_path / "sweep.csv"
-    result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+    with pytest.warns(RuntimeWarning, match="no metro-associated drops"):
+        result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
     assert result.exit_code == 0, result.output
     rows = read_csv(out)
     # dipole1 admits only the untilted cell

@@ -269,6 +269,16 @@ def test_side_products_that_underflow_do_not_report_a_cut():
     assert blockage_counts_from_origin(wap, np.zeros(1), 0.0, e1, e2, np.full(1, 10.0)).tolist() == [0]
 
 
+def test_wall_through_the_origin_whose_length_underflows_is_scanned():
+    # seg2 = |e2 - e1|^2 underflows to 0 and near2 is NaN; the wall still
+    # passes through the origin, so it must be tested against every path.
+    wap = np.array([[-0.125, -0.125]])
+    e1, e2 = np.array([[0.0, 4.01e-262]]), np.array([[-0.0, -1.00e-262]])
+    mask = _crossing_mask(wap[:, 0], wap[:, 1], 0.0, np.zeros(1), e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1], 1.0)
+    assert mask.tolist() == [True]
+    assert blockage_counts_from_origin(wap, np.zeros(1), 0.0, e1, e2, np.ones(1)).tolist() == [1]
+
+
 def test_origin_batch_matches_per_link_counts():
     # the bearing window must not drop a pair that the all-pairs test counts
     rng = np.random.default_rng(34)
@@ -305,10 +315,10 @@ def all_pairs_counts(wap_xy, wap_z, user_z, e1, e2, wall_h, chunk=256):
 
 # Dyadic coordinates (km) make exact ties, collinear walls and points on the
 # -x axis (bearing +-pi) common; the floats cover general position.  Nonzero
-# floats stay above 1 um: below ~1e-154 km the counter's wall length and
-# nearest-point distance (seg2, near2) underflow, so a wall through the
-# origin misses the full scan and the counter drops cuts the all-pairs test
-# reports.
+# floats stay above 1 um: the radial filter's margin is relative to the
+# WAP's range, but the rounding in a wall's nearest-point distance scales
+# with the wall's length, so for WAPs much nearer the user the counter can
+# drop cuts the all-pairs test reports.
 _GRID = st.sampled_from([k / 64.0 for k in range(-8, 9)] + [-0.0])
 _COORD = st.one_of(_GRID, st.floats(1e-9, 0.15), st.floats(-0.15, -1e-9))
 _POINT = st.tuples(_COORD, _COORD)

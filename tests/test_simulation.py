@@ -262,30 +262,38 @@ def test_cell_radius_monotonic_in_tilt_and_beamwidth():
 
 # -------------------------------------------------------------------- sweeps
 
+NO_METRO_DROPS = "no metro-associated drops"  # some 2-drop cells have no metro drop
+TINY = replace(LIGHT, drops=2, region_radius_km=1.0)
+TILTS_0_TO_40 = tuple(float(t) for t in np.arange(0.0, 41.0, 2.0))
+
+
 def test_sweep_empty_grid_is_empty():
-    assert run_sweep(LIGHT, downtilts_deg=[], patterns=["quasi_omni"]) == []
+    grid = replace(LIGHT, sweep_downtilts_deg=(), sweep_patterns=("quasi_omni",))
+    assert run_sweep(grid) == []
 
 
 def test_sweep_skips_tilted_single_element_cells():
-    cells = sweep_scenarios(LIGHT, downtilts_deg=list(np.arange(0.0, 41.0, 2.0)))
+    cells = sweep_scenarios(replace(LIGHT, sweep_downtilts_deg=TILTS_0_TO_40))
     assert len(cells) == 3 * 21 + 1
-    tiny = replace(LIGHT, drops=2, region_radius_km=1.0)
-    rows = run_sweep(tiny, downtilts_deg=list(np.arange(0.0, 41.0, 2.0)))
+    with pytest.warns(RuntimeWarning, match=NO_METRO_DROPS):
+        rows = run_sweep(replace(TINY, sweep_downtilts_deg=TILTS_0_TO_40))
     assert len(rows) == 64
     dipole1_rows = [r for r in rows if r["pattern"] == "dipole1"]
     assert len(dipole1_rows) == 1 and dipole1_rows[0]["downtilt_deg"] == 0.0
 
 
 def test_sweep_same_power_keeps_the_template_power():
-    tiny = replace(LIGHT, drops=2, region_radius_km=1.0)
-    rows = run_sweep(tiny, downtilts_deg=[0.0, 10.0], power_mode=PowerMode.SAME_POWER)
+    grid = replace(TINY, sweep_downtilts_deg=(0.0, 10.0), power_mode=PowerMode.SAME_POWER)
+    with pytest.warns(RuntimeWarning, match=NO_METRO_DROPS):
+        rows = run_sweep(grid)
     assert {r["p2_dbm"] for r in rows} == {33.0}
     assert {r["power_mode"] for r in rows} == {"same_power"}
 
 
 def test_sweep_same_eirp_fills_catalogue_powers():
-    tiny = replace(LIGHT, drops=2, region_radius_km=1.0)
-    rows = run_sweep(tiny, downtilts_deg=[0.0], power_mode=PowerMode.SAME_EIRP)
+    grid = replace(TINY, sweep_downtilts_deg=(0.0,), power_mode=PowerMode.SAME_EIRP)
+    with pytest.warns(RuntimeWarning, match=NO_METRO_DROPS):
+        rows = run_sweep(grid)
     powers = {r["pattern"]: r["p2_dbm"] for r in rows}
     assert powers["dipole1"] == pytest.approx(33.0, abs=1e-9)
     assert powers["dipole2"] == pytest.approx(30.0, abs=1e-9)
@@ -294,8 +302,14 @@ def test_sweep_same_eirp_fills_catalogue_powers():
 
 
 def test_sweep_rows_share_the_master_seed_and_carry_the_radius():
-    tiny = replace(LIGHT, drops=2, region_radius_km=1.0, master_seed=77)
-    rows = run_sweep(tiny, downtilts_deg=[0.0, 20.0], patterns=["quasi_omni", "dipole4"])
+    grid = replace(
+        TINY,
+        master_seed=77,
+        sweep_downtilts_deg=(0.0, 20.0),
+        sweep_patterns=("quasi_omni", "dipole4"),
+    )
+    with pytest.warns(RuntimeWarning, match=NO_METRO_DROPS):
+        rows = run_sweep(grid)
     assert {r["seed"] for r in rows} == {77}
     for row in rows:
         hpbw = 14.0 if row["pattern"] == "quasi_omni" else 19.5

@@ -2,8 +2,9 @@
 
 ``data/golden_sweep.csv`` was written by the per-cell engine that sampled
 every drop again in every cell; the shared-geometry engine must reproduce it
-byte for byte.  The properties tie a sweep row to a one-cell run of the same
-cell, and a run to its drops replayed one at a time.
+byte for byte.  The properties tie a sweep row, and a cell of a grid that
+spans both power modes, to a one-cell run of the same cell, and a run to its
+drops replayed one at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hetnetsim.scenario import PowerMode, Scenario
 from hetnetsim.simulation import (
     aggregate,
     result_row,
+    run_cells,
     run_drop,
     run_many,
     run_sweep,
@@ -29,15 +31,20 @@ from hetnetsim.simulation import (
 )
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_sweep.csv"
-GOLDEN = replace(Scenario(), region_radius_km=2.0, drops=48, master_seed=7)
-GOLDEN_TILTS = [0.0, 10.0, 25.0]
-GOLDEN_PATTERNS = ["dipole1", "dipole2", "dipole4", "quasi_omni"]
+GOLDEN = replace(
+    Scenario(),
+    region_radius_km=2.0,
+    drops=48,
+    master_seed=7,
+    sweep_downtilts_deg=(0.0, 10.0, 25.0),
+    sweep_patterns=("dipole1", "dipole2", "dipole4", "quasi_omni"),
+)
 
 
 def golden_rows(workers: int) -> list[dict]:
     rows = []
     for mode in (PowerMode.SAME_POWER, PowerMode.SAME_EIRP):
-        rows += run_sweep(GOLDEN, GOLDEN_TILTS, GOLDEN_PATTERNS, mode, workers=workers)
+        rows += run_sweep(replace(GOLDEN, power_mode=mode), workers=workers)
     return rows
 
 
@@ -70,13 +77,6 @@ PROPERTY_SETTINGS = settings(
 )
 
 
-def simulate_row(cell: Scenario) -> dict:
-    drops = run_many(cell)
-    return result_row(
-        cell, aggregate(drops, cell.macro.density_per_km2, cell.metro.density_per_km2)
-    )
-
-
 @PROPERTY_SETTINGS
 @given(
     scenario=scenarios,
@@ -84,12 +84,23 @@ def simulate_row(cell: Scenario) -> dict:
     workers=st.sampled_from([1, 2]),
 )
 def test_sweep_rows_equal_one_cell_runs(scenario, mode, workers):
-    tilts = [0.0, 15.0]
-    patterns = ["dipole1", "dipole4", "quasi_omni"]
+    grid = replace(
+        scenario,
+        sweep_downtilts_deg=(0.0, 15.0),
+        sweep_patterns=("dipole1", "dipole4", "quasi_omni"),
+    )
+    # Both power modes in one run_cells call, as the acceptance fixture runs them.
+    cells = [c for m in PowerMode for c in sweep_scenarios(replace(grid, power_mode=m))]
+    alone = [run_many(c) for c in cells]
+    assert run_cells(cells, workers=workers) == alone
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # cells with no metro drops
-        rows = run_sweep(scenario, tilts, patterns, mode, workers=workers)
-        expected = [simulate_row(c) for c in sweep_scenarios(scenario, tilts, patterns, mode)]
+        rows = run_sweep(replace(grid, power_mode=mode), workers=workers)
+        expected = [
+            result_row(c, aggregate(d, c.macro.density_per_km2, c.metro.density_per_km2))
+            for c, d in zip(cells, alone)
+            if c.power_mode is mode
+        ]
     assert rows == expected
 
 
