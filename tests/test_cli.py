@@ -192,6 +192,74 @@ def test_non_finite_values_exit_2_naming_the_key(runner, command, override):
     assert f"{key} must be finite" in result.output
 
 
+# One case per input rule: (--set overrides, text the error must contain).
+BAD_OVERRIDES = [
+    (["macro.density_per_km2=-1"], "macro.density_per_km2 must be >= 0"),
+    (["metro.density_per_km2=-1"], "metro.density_per_km2 must be >= 0"),
+    (["macro.height_m=0"], "macro.height_m must be > 0"),
+    (["metro.height_m=-2"], "metro.height_m must be > 0"),
+    (["macro.pathloss_slope_db=0"], "macro.pathloss_slope_db must be > 0"),
+    (["metro.pathloss_slope_db=-1"], "metro.pathloss_slope_db must be > 0"),
+    (["macro.downtilt_deg=-1"], "macro.downtilt_deg must be in [0, 90)"),
+    (["macro.downtilt_deg=90"], "macro.downtilt_deg must be in [0, 90)"),
+    (["metro.downtilt_deg=-0.5"], "metro.downtilt_deg must be in [0, 90)"),
+    (["metro.downtilt_deg=90"], "metro.downtilt_deg must be in [0, 90)"),
+    (["macro.horiz_hpbw_deg=0"], "macro antenna: horiz_hpbw_deg must be in (0, 180)"),
+    (["macro.vert_hpbw_deg=180"], "macro antenna: vert_hpbw_deg must be in (0, 180)"),
+    (["macro.front_back_ratio_db=-1"], "macro antenna: front_back_ratio_db must be >= 0"),
+    (["macro.side_lobe_db=1"], "macro antenna: side_lobe_db must be a finite dB value <= 0"),
+    (["metro.pattern=dish"], "metro.pattern: unknown metro antenna 'dish'"),
+    (
+        ["metro.pattern=dipole1", "metro.downtilt_deg=8"],
+        "metro antenna 'dipole1' cannot be downtilted (metro.downtilt_deg = 8.0)",
+    ),
+    (
+        ["simulation.power_mode=same_eirp", "metro.tx_power_dbm=33"],
+        "metro.tx_power_dbm + antenna max gain must equal 35.15 dBm",
+    ),
+    (["buildings.density_per_km2=-1"], "buildings.density_per_km2 must be >= 0"),
+    (["buildings.attenuation_db=1"], "buildings.attenuation_db must be <= 0 dB"),
+    (["buildings.length_min_m=0"], "buildings.length_min_m/length_max_m must satisfy"),
+    (["buildings.length_max_m=10"], "buildings.length_min_m/length_max_m must satisfy"),
+    (["buildings.height_min_m=0"], "buildings.height_min_m/height_max_m must satisfy"),
+    (["buildings.height_max_m=5"], "buildings.height_min_m/height_max_m must satisfy"),
+    (["simulation.user_height_m=-1"], "simulation.user_height_m must be >= 0"),
+    (["simulation.drops=0"], "simulation.drops must be >= 1"),
+    (["simulation.master_seed=-1"], "simulation.master_seed must be >= 0"),
+    (["simulation.power_mode=sideways"], "invalid value for simulation.power_mode"),
+    (["simulation.sweep_downtilts_deg=0, 90"], "simulation.sweep_downtilts_deg entries must be in [0, 90)"),
+    (["simulation.sweep_patterns=dish"], "simulation.sweep_patterns: unknown metro antenna 'dish'"),
+    (["metro.bogus=1"], "unknown key metro.bogus"),
+    (["pico.drops=1"], "unknown section"),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, message", BAD_OVERRIDES, ids=[" ".join(o) for o, _ in BAD_OVERRIDES]
+)
+def test_validate_rejects_each_bad_input_naming_the_key(runner, overrides, message):
+    args = ["validate"]
+    for item in overrides:
+        args += ["--set", item]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("config error:")
+    assert message in result.output
+
+
+def test_validate_rejects_a_negative_seed_flag(runner):
+    result = runner.invoke(main, ["validate", "--seed", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "simulation.master_seed must be >= 0" in result.output
+
+
+def test_validate_names_an_unknown_file_key_and_its_line(runner, tmp_path):
+    cfg = write_cfg(tmp_path, "[simulation]\ndrops = 4\n\n[metro]\nbogus = 1\n")
+    result = runner.invoke(main, ["validate", "--config", cfg])
+    assert result.exit_code == 2, result.output
+    assert "unknown key metro.bogus (line 5)" in result.output
+
+
 @pytest.mark.parametrize(
     "override", ["simulation.region_radius_km=1e6", "buildings.density_per_km2=1e5"]
 )
