@@ -43,7 +43,7 @@ _VERT_LOBE_COEFF = -4.0 * HALF_POWER_DB  # 12.0412
 # the half-beamwidth points).
 _HORIZ_LOBE_COEFF = 12.0
 
-# Stands in for -inf at the nulls of a dipole that has no side-lobe floor.
+# Side-lobe floor of a dipole that has none: stands in for -inf at the nulls.
 DIPOLE_GAIN_FLOOR_DB = -250.0
 
 
@@ -68,10 +68,19 @@ def _check_floor(value: float, name: str) -> None:
 
 
 class _ComposedGain:
-    """Shared dBi composition for all pattern families; omnidirectional in
-    azimuth unless a family overrides `horizontal_gain_db`."""
+    """Shared dBi composition and parameter checks for all pattern families;
+    omnidirectional in azimuth unless a family overrides
+    `horizontal_gain_db`."""
 
+    vert_hpbw_deg: float
+    side_lobe_db: float
     max_gain_dbi: float
+
+    def __post_init__(self) -> None:
+        _check_hpbw(self.vert_hpbw_deg, "vert_hpbw_deg")
+        _check_floor(self.side_lobe_db, "side_lobe_db")
+        if not math.isfinite(self.max_gain_dbi):
+            raise ValueError("max_gain_dbi must be finite")
 
     def horizontal_gain_db(self, phi_deg):
         return np.zeros_like(np.asarray(phi_deg, dtype=float))
@@ -102,12 +111,9 @@ class SectorPattern(_ComposedGain):
 
     def __post_init__(self) -> None:
         _check_hpbw(self.horiz_hpbw_deg, "horiz_hpbw_deg")
-        _check_hpbw(self.vert_hpbw_deg, "vert_hpbw_deg")
         if self.front_back_ratio_db < 0.0:
             raise ValueError("front_back_ratio_db must be >= 0 dB")
-        _check_floor(self.side_lobe_db, "side_lobe_db")
-        if not math.isfinite(self.max_gain_dbi):
-            raise ValueError("max_gain_dbi must be finite")
+        super().__post_init__()
 
     def horizontal_gain_db(self, phi_deg):
         phi = np.asarray(phi_deg, dtype=float)
@@ -133,12 +139,6 @@ class QuasiOmniPattern(_ComposedGain):
     side_lobe_db: float
     max_gain_dbi: float
 
-    def __post_init__(self) -> None:
-        _check_hpbw(self.vert_hpbw_deg, "vert_hpbw_deg")
-        _check_floor(self.side_lobe_db, "side_lobe_db")
-        if not math.isfinite(self.max_gain_dbi):
-            raise ValueError("max_gain_dbi must be finite")
-
     vertical_gain_db = SectorPattern.vertical_gain_db
 
 
@@ -147,29 +147,24 @@ class DipolePattern(_ComposedGain):
     """Half-wave dipole stack: omni in azimuth, cos^n main lobe in elevation.
 
     ``exponent`` is derived from the vertical beamwidth at construction so
-    the lobe is exactly half power at +/- hpbw/2.  A missing side-lobe level
-    means the lobe runs down to the numerical floor instead of -inf.
+    the lobe is exactly half power at +/- hpbw/2.  A dipole with no physical
+    side-lobe floor takes ``DIPOLE_GAIN_FLOOR_DB``.
     """
 
     vert_hpbw_deg: float
     max_gain_dbi: float
-    side_lobe_db: float | None = None
+    side_lobe_db: float
     exponent: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_hpbw(self.vert_hpbw_deg, "vert_hpbw_deg")
-        if self.side_lobe_db is not None:
-            _check_floor(self.side_lobe_db, "side_lobe_db")
-        if not math.isfinite(self.max_gain_dbi):
-            raise ValueError("max_gain_dbi must be finite")
+        super().__post_init__()
         object.__setattr__(self, "exponent", dipole_exponent(self.vert_hpbw_deg))
 
     def vertical_gain_db(self, theta_deg, downtilt_deg):
         off = np.radians(np.asarray(theta_deg, dtype=float) - downtilt_deg)
-        floor = DIPOLE_GAIN_FLOOR_DB if self.side_lobe_db is None else self.side_lobe_db
         with np.errstate(divide="ignore"):
             lobe = 10.0 * self.exponent * np.log10(np.abs(np.cos(off)))
-        return np.maximum(lobe, floor)
+        return np.maximum(lobe, self.side_lobe_db)
 
 
 AntennaPattern = SectorPattern | DipolePattern | QuasiOmniPattern
@@ -177,9 +172,8 @@ AntennaPattern = SectorPattern | DipolePattern | QuasiOmniPattern
 
 @dataclass(frozen=True)
 class MetroAntenna:
-    """A named metro-cell antenna option and whether it supports downtilt."""
+    """A metro-cell antenna option and whether it supports downtilt."""
 
-    name: str
     pattern: AntennaPattern
     tiltable: bool
 
@@ -189,22 +183,18 @@ class MetroAntenna:
 # have no electrical tilt.
 METRO_ANTENNAS: dict[str, MetroAntenna] = {
     "dipole1": MetroAntenna(
-        "dipole1",
-        DipolePattern(vert_hpbw_deg=78.0, max_gain_dbi=2.15),
+        DipolePattern(vert_hpbw_deg=78.0, max_gain_dbi=2.15, side_lobe_db=DIPOLE_GAIN_FLOOR_DB),
         tiltable=False,
     ),
     "dipole2": MetroAntenna(
-        "dipole2",
         DipolePattern(vert_hpbw_deg=39.0, max_gain_dbi=5.15, side_lobe_db=-10.0),
         tiltable=True,
     ),
     "dipole4": MetroAntenna(
-        "dipole4",
         DipolePattern(vert_hpbw_deg=19.5, max_gain_dbi=8.15, side_lobe_db=-12.0),
         tiltable=True,
     ),
     "quasi_omni": MetroAntenna(
-        "quasi_omni",
         QuasiOmniPattern(vert_hpbw_deg=14.0, side_lobe_db=-16.0, max_gain_dbi=10.2),
         tiltable=True,
     ),

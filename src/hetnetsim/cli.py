@@ -5,6 +5,7 @@ Exit codes: 0 on success, 2 for configuration errors, 3 for runtime errors.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -138,9 +139,7 @@ def radius(config_path, seed, overrides, out_path, fmt) -> None:
         for name in RADIUS_PATTERNS:
             hpbw = metro_antenna(name).pattern.vert_hpbw_deg
             for tilt in RADIUS_TILTS_DEG:
-                r = simulation.cell_radius(
-                    scenario.metro.height_m, scenario.user_height_m, tilt, hpbw
-                )
+                r = simulation.metro_cell_radius(scenario, tilt, hpbw)
                 rows.append(
                     {
                         "pattern": name,
@@ -149,7 +148,7 @@ def radius(config_path, seed, overrides, out_path, fmt) -> None:
                         "user_height_m": scenario.user_height_m,
                         "vert_hpbw_deg": hpbw,
                         "cell_radius_m": r,
-                        "cell_radius_m_display": "" if r == float("inf") else f"{r:.1f}",
+                        "cell_radius_m_display": "" if r in (None, math.inf) else f"{r:.1f}",
                     }
                 )
         return rows

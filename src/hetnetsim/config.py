@@ -15,6 +15,7 @@ import functools
 import typing
 from pathlib import Path
 
+from .antenna import METRO_ANTENNAS
 from .scenario import (
     DENSITY_RATIO_DEFAULT,
     BuildingConfig,
@@ -76,26 +77,34 @@ _SCHEMA = {
 _SCHEMA[_SIMULATION_SECTION] = _key_parsers(Scenario)
 
 
-def _key_line(text: str, section: str, key: str) -> int | None:
-    """Best-effort line number of ``key`` inside ``[section]``."""
-    current = None
+def _file_items(text: str, source: str) -> list[tuple]:
+    """``(section, key, raw, origin)`` for every section header and key of a
+    scenario file, in file order; a header's key and raw are None."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text, source=source)
+    line_of = {}  # (section, key or None) -> "line N" of its first appearance
+    section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip().lower()
-        elif current == section:
-            name = stripped.split("=", 1)[0].split(":", 1)[0].strip()
-            if name == key:
-                return lineno
-    return None
+            section, key = stripped[1:-1].strip().lower(), None
+        else:
+            key = stripped.split("=", 1)[0].split(":", 1)[0].strip().lower()
+        line_of.setdefault((section, key), f"line {lineno}")
+    items = []
+    for section in parser.sections():
+        name = section.lower()
+        for key, raw in [(None, None), *parser.items(section)]:
+            items.append((name, key, raw, line_of.get((name, key), source)))
+    return items
 
 
-def _coerce(section: str, key: str, raw: str):
+def _coerce(section: str, key: str, raw: str, origin: str):
     try:
         return _SCHEMA[section][key](raw)
     except ValueError as exc:
-        detail = str(exc) or "invalid value"
-        raise ConfigError(f"invalid value for {section}.{key}: {raw!r} ({detail})") from None
+        detail = f"{raw!r} ({str(exc) or 'invalid value'})"
+        raise ValueError(f"invalid value for {section}.{key} ({origin}): {detail}") from None
 
 
 def parse_config(
@@ -105,73 +114,57 @@ def parse_config(
     seed_override: int | None = None,
     source: str = "<config>",
 ) -> Scenario:
-    """Build a validated Scenario from config text plus key=value overrides."""
-    parser = configparser.ConfigParser(interpolation=None)
+    """Build a validated Scenario from config text plus key=value overrides.
+
+    File lines, then ``overrides`` (the CLI's ``--set``), then
+    ``seed_override`` (``--seed``) become one list of ``(section, key, raw,
+    origin)`` items, so every error names the key and where it came from.
+    """
     try:
-        parser.read_string(text, source=source)
-    except configparser.Error as exc:
+        items = _file_items(text, source)
+        for item in overrides:
+            dotted, eq, raw = item.partition("=")
+            section, dot, key = dotted.partition(".")
+            if not (eq and dot):
+                raise ValueError(f"override {item!r} is not of the form section.key=value")
+            items.append((section.strip().lower(), key.strip().lower(), raw, "--set"))
+        if seed_override is not None:
+            items.append((_SIMULATION_SECTION, "master_seed", str(seed_override), "--seed"))
+        return _scenario_from_items(items)
+    except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
-    values: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
-    for section in parser.sections():
-        name = section.lower()
-        if name not in values:
-            raise ConfigError(f"{source}: unknown section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[name]:
-                line = _key_line(text, name, key)
-                where = f" (line {line})" if line else ""
-                raise ConfigError(f"{source}: unknown key {name}.{key}{where}")
-            values[name][key] = _coerce(name, key, raw)
 
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form section.key=value")
-        dotted, raw = item.split("=", 1)
-        if "." not in dotted:
-            raise ConfigError(f"override {item!r} is not of the form section.key=value")
-        section, key = (part.strip().lower() for part in dotted.split(".", 1))
-        if section not in values:
-            raise ConfigError(f"override: unknown section {section!r}")
+def _scenario_from_items(items: list[tuple]) -> Scenario:
+    values: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
+    for section, key, raw, origin in items:
+        if section not in _SCHEMA:
+            raise ValueError(f"unknown section [{section}] ({origin})")
+        if key is None:  # a section header
+            continue
         if key not in _SCHEMA[section]:
-            raise ConfigError(f"override: unknown key {section}.{key}")
-        values[section][key] = _coerce(section, key, raw)
-    if seed_override is not None:
-        values[_SIMULATION_SECTION]["master_seed"] = int(seed_override)
+            raise ValueError(f"unknown key {section}.{key} ({origin})")
+        values[section][key] = _coerce(section, key, raw, origin)
 
     macro = MacroConfig(**values["macro"])
-
-    # Densities omitted from the file scale off the macro density.
+    # Densities omitted from the config scale off the macro density.
+    density = DENSITY_RATIO_DEFAULT * macro.density_per_km2
     for section in ("metro", "buildings"):
-        if "density_per_km2" not in values[section]:
-            values[section]["density_per_km2"] = (
-                DENSITY_RATIO_DEFAULT * macro.density_per_km2
-            )
-
-    sim_kwargs = dict(values[_SIMULATION_SECTION])
-    power_mode = sim_kwargs.get("power_mode", PowerMode.SAME_POWER)
-
-    # In same-EIRP mode an omitted metro power follows the pattern's gain.
-    metro_kwargs = dict(values["metro"])
-    if "tx_power_dbm" not in metro_kwargs:
-        pattern = metro_kwargs.get("pattern", MetroConfig.pattern)
-        try:
-            metro_kwargs["tx_power_dbm"] = metro_tx_power_dbm(
-                str(pattern), power_mode, MetroConfig.tx_power_dbm
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{source}: metro.pattern: {exc}") from None
-
+        values[section].setdefault("density_per_km2", density)
+    # In same-EIRP mode an omitted metro power follows the pattern's gain; an
+    # unknown pattern is left for validate_scenario to report.
+    metro, simulation = values["metro"], values[_SIMULATION_SECTION]
+    pattern = metro.get("pattern", MetroConfig.pattern)
+    if "tx_power_dbm" not in metro and pattern in METRO_ANTENNAS:
+        power_mode = simulation.get("power_mode", PowerMode.SAME_POWER)
+        metro["tx_power_dbm"] = metro_tx_power_dbm(pattern, power_mode, MetroConfig.tx_power_dbm)
     scenario = Scenario(
         macro=macro,
-        metro=MetroConfig(**metro_kwargs),
+        metro=MetroConfig(**metro),
         buildings=BuildingConfig(**values["buildings"]),
-        **sim_kwargs,
+        **simulation,
     )
-    try:
-        validate_scenario(scenario)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+    validate_scenario(scenario)
     return scenario
 
 

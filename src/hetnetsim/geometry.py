@@ -147,12 +147,12 @@ def _crossing_mask(bx, by, za_m, zb_m, e1x, e1y, e2x, e2y, wall_h_m) -> np.ndarr
 
     if np.any(collinear):
         r2 = bx * bx + by * by
-        with np.errstate(divide="ignore", invalid="ignore"):  # r2 == 0 is no path
+        with np.errstate(divide="ignore", invalid="ignore"):  # r2 == 0: no path, no cut
             s1 = (e1x * bx + e1y * by) / r2
             s2 = (e2x * bx + e2y * by) / r2
-        lo = np.maximum(0.0, np.minimum(s1, s2))
-        hi = np.minimum(1.0, np.maximum(s1, s2))
-        z_mid = za_m + 0.5 * (lo + hi) * (zb_m - za_m)
+            lo = np.maximum(0.0, np.minimum(s1, s2))
+            hi = np.minimum(1.0, np.maximum(s1, s2))
+            z_mid = za_m + 0.5 * (lo + hi) * (zb_m - za_m)
         crossed |= collinear & (r2 != 0.0) & (lo <= hi) & (z_mid <= wall_h_m)
     return crossed
 
@@ -249,10 +249,13 @@ def blockage_counts_from_origin(
     pair_wap = wap_ext[pair_pos]
     a = alpha_ext[pair_pos]
     # Keep the pairs inside the exact bearing window whose WAP is not
-    # nearer than the wall; the margin absorbs rounding in near2.
+    # nearer than the wall.  near2 is rounded by a few eps times the squared
+    # coordinates of the nearest point, which stay below 2 * (near2 + seg2),
+    # so near_lo2 is below the exact value at any scale.
+    near_lo2 = near2 - 64.0 * np.finfo(float).eps * (near2 + seg2)
     d2 = wap_x**2 + wap_y**2
     keep = (lo[pair_wall] <= a) & (a <= hi[pair_wall])
-    keep &= ~(near2[pair_wall] > d2[pair_wap] * (1.0 + 1e-9))
+    keep &= ~(near_lo2[pair_wall] > d2[pair_wap])
     idx = np.flatnonzero(keep)
     if idx.size == 0:
         return np.zeros(n_w, dtype=np.int64)

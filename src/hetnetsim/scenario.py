@@ -110,7 +110,6 @@ class Scenario:
     drops: int = 10000
     master_seed: int = 1
     power_mode: PowerMode = PowerMode.SAME_POWER
-    carrier_frequency_ghz: float = 2.0  # recorded; enters only via intercepts
     sweep_downtilts_deg: tuple[float, ...] = tuple(float(t) for t in range(0, 41, 2))
     sweep_patterns: tuple[str, ...] = ("dipole1", "dipole2", "dipole4", "quasi_omni")
 
@@ -136,11 +135,12 @@ def validate_scenario(s: Scenario) -> None:
             value = getattr(part, f.name)
             if isinstance(value, float):
                 _require(math.isfinite(value), f"{section}.{f.name} must be finite, got {value}")
-    _require(s.macro.density_per_km2 >= 0.0, "macro.density_per_km2 must be >= 0")
-    _require(s.metro.density_per_km2 >= 0.0, "metro.density_per_km2 must be >= 0")
+    for tier, t in (("macro", s.macro), ("metro", s.metro)):
+        _require(t.density_per_km2 >= 0.0, f"{tier}.density_per_km2 must be >= 0")
+        _require(t.height_m > 0.0, f"{tier}.height_m must be > 0")
+        _require(t.pathloss_slope_db > 0.0, f"{tier}.pathloss_slope_db must be > 0")
+        _require(0.0 <= t.downtilt_deg < 90.0, f"{tier}.downtilt_deg must be in [0, 90)")
     _require(s.buildings.density_per_km2 >= 0.0, "buildings.density_per_km2 must be >= 0")
-    _require(s.macro.height_m > 0.0, "macro.height_m must be > 0")
-    _require(s.metro.height_m > 0.0, "metro.height_m must be > 0")
     _require(s.user_height_m >= 0.0, "simulation.user_height_m must be >= 0")
     _require(s.region_radius_km > 0.0, "simulation.region_radius_km must be > 0")
     density = s.macro.density_per_km2 + s.metro.density_per_km2 + s.buildings.density_per_km2
@@ -152,15 +152,6 @@ def validate_scenario(s: Scenario) -> None:
     )
     _require(s.drops >= 1, "simulation.drops must be >= 1")
     _require(s.master_seed >= 0, "simulation.master_seed must be >= 0")
-    _require(s.carrier_frequency_ghz > 0.0, "simulation.carrier_frequency_ghz must be > 0")
-    _require(s.macro.pathloss_slope_db > 0.0, "macro.pathloss_slope_db must be > 0")
-    _require(s.metro.pathloss_slope_db > 0.0, "metro.pathloss_slope_db must be > 0")
-    _require(
-        0.0 <= s.macro.downtilt_deg < 90.0, "macro.downtilt_deg must be in [0, 90)"
-    )
-    _require(
-        0.0 <= s.metro.downtilt_deg < 90.0, "metro.downtilt_deg must be in [0, 90)"
-    )
 
     b = s.buildings
     _require(b.attenuation_db <= 0.0, "buildings.attenuation_db must be <= 0 dB")
@@ -185,7 +176,7 @@ def validate_scenario(s: Scenario) -> None:
 
     if not ant.tiltable and s.metro.downtilt_deg != 0.0:
         raise ValueError(
-            f"metro antenna {ant.name!r} cannot be downtilted "
+            f"metro antenna {s.metro.pattern!r} cannot be downtilted "
             f"(metro.downtilt_deg = {s.metro.downtilt_deg})"
         )
 

@@ -50,6 +50,7 @@ __all__ = [
     "aggregate",
     "cell_radius",
     "evaluate_sample",
+    "metro_cell_radius",
     "result_row",
     "run_cells",
     "run_drop",
@@ -384,18 +385,19 @@ def cell_radius(
     return (height_m - user_height_m) / math.tan(math.radians(edge_deg))
 
 
+def metro_cell_radius(scenario: Scenario, downtilt_deg: float, hpbw_deg: float) -> float | None:
+    """`cell_radius` of a metro beam at the scenario's heights, or None when
+    the antenna is not above the user: the beam edge then has no footprint."""
+    height_m, user_m = scenario.metro.height_m, scenario.user_height_m
+    if height_m <= user_m:
+        return None
+    return cell_radius(height_m, user_m, downtilt_deg, hpbw_deg)
+
+
 def result_row(scenario: Scenario, metrics: NetworkMetrics) -> dict:
     """Flatten one scenario + metrics pair into an output table row."""
-    ant = scenario.metro.antenna()
-    if scenario.metro.height_m > scenario.user_height_m:
-        radius = cell_radius(
-            scenario.metro.height_m,
-            scenario.user_height_m,
-            scenario.metro.downtilt_deg,
-            ant.pattern.vert_hpbw_deg,
-        )
-    else:
-        radius = None  # beam-edge footprint undefined for a user at antenna level
+    hpbw = scenario.metro.antenna().pattern.vert_hpbw_deg
+    radius = metro_cell_radius(scenario, scenario.metro.downtilt_deg, hpbw)
     return {
         "pattern": scenario.metro.pattern,
         "downtilt_deg": scenario.metro.downtilt_deg,

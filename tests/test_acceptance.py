@@ -164,7 +164,7 @@ def test_criterion_2_dipole_exponents():
 # -------------------------------------------------------------- criterion 3
 
 def test_criterion_3_half_power_and_floors():
-    from hetnetsim.antenna import DIPOLE_GAIN_FLOOR_DB, SectorPattern
+    from hetnetsim.antenna import SectorPattern
 
     macro_pattern = Scenario().macro.pattern()
     families = {"macro_sector": macro_pattern}
@@ -181,10 +181,7 @@ def test_criterion_3_half_power_and_floors():
                 worst = max(worst, abs(gain - HALF_POWER_DB))
                 assert abs(gain - HALF_POWER_DB) < 1e-6
             vertical = pattern.vertical_gain_db(theta_grid, tilt)
-            floor = getattr(pattern, "side_lobe_db", None)
-            if floor is None:
-                floor = DIPOLE_GAIN_FLOOR_DB
-            assert np.all(vertical >= floor - 1e-12)
+            assert np.all(vertical >= pattern.side_lobe_db - 1e-12)
             assert np.all(vertical <= 1e-12)
         horizontal = pattern.horizontal_gain_db(phi_grid)
         assert np.all(horizontal <= 1e-12)

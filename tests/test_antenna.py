@@ -78,7 +78,9 @@ def test_dipole_half_power_points(name):
 
 
 def test_dipole_side_lobe_floor():
-    unfloored = DipolePattern(vert_hpbw_deg=39.0, max_gain_dbi=5.15)
+    unfloored = DipolePattern(
+        vert_hpbw_deg=39.0, max_gain_dbi=5.15, side_lobe_db=DIPOLE_GAIN_FLOOR_DB
+    )
     # cos^n lobe value 60 degrees off boresight, then the catalogue floor
     assert unfloored.vertical_gain_db(60.0, 0.0) == pytest.approx(-35.324318608623, abs=1e-9)
     floored = METRO_ANTENNAS["dipole2"].pattern
@@ -91,7 +93,7 @@ def test_sector_vertical_side_lobe_cap():
 
 def test_dipole1_runs_down_to_numerical_floor():
     dipole1 = METRO_ANTENNAS["dipole1"].pattern
-    assert dipole1.side_lobe_db is None
+    assert dipole1.side_lobe_db == DIPOLE_GAIN_FLOOR_DB
     assert dipole1.vertical_gain_db(90.0, 0.0) == DIPOLE_GAIN_FLOOR_DB
     assert not METRO_ANTENNAS["dipole1"].tiltable
 
@@ -158,10 +160,7 @@ def test_total_gain_never_exceeds_peak_and_respects_floors(pattern, phi, theta, 
 
     vertical = float(pattern.vertical_gain_db(theta, tilt))
     assert vertical <= 1e-12
-    floor = getattr(pattern, "side_lobe_db", None)
-    if floor is None:
-        floor = DIPOLE_GAIN_FLOOR_DB
-    assert vertical >= floor - 1e-12
+    assert vertical >= pattern.side_lobe_db - 1e-12
 
     horizontal = float(pattern.horizontal_gain_db(phi))
     assert horizontal <= 0.0
@@ -179,7 +178,13 @@ def test_pattern_parameter_validation():
     with pytest.raises(ValueError):
         QuasiOmniPattern(0.0, -16.0, 10.2)  # HPBW out of range
     with pytest.raises(ValueError):
-        DipolePattern(39.0, math.inf)  # non-finite gain
+        QuasiOmniPattern(14.0, -16.0, math.nan)  # non-finite gain
+    with pytest.raises(ValueError):
+        DipolePattern(39.0, math.inf, -10.0)  # non-finite gain
+    with pytest.raises(ValueError):
+        DipolePattern(39.0, 5.15, 1.0)  # positive SLL
+    with pytest.raises(TypeError):
+        DipolePattern(39.0, 5.15)  # the side-lobe floor is required
 
 
 def test_dipole_exponent_is_stored_consistently():

@@ -64,6 +64,19 @@ def test_radius_honors_config_heights(runner, tmp_path):
     assert float(row[5]) == pytest.approx(2.0 * 1145.9083, abs=0.1)
 
 
+@pytest.mark.parametrize("user_height_m", ["5", "6"])
+def test_radius_is_empty_when_the_antenna_is_not_above_the_user(runner, tmp_path, user_height_m):
+    args = ["radius", "--set", "metro.height_m=5", "--set", f"simulation.user_height_m={user_height_m}"]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "r.csv")])
+    assert result.exit_code == 0, result.output
+    rows = read_csv(tmp_path / "r.csv")
+    assert len(rows) == 8
+    assert all(r["cell_radius_m"] == r["cell_radius_m_display"] == "" for r in rows)
+    result = runner.invoke(main, args + ["--format", "jsonl"])
+    assert result.exit_code == 0, result.output
+    assert all(json.loads(line)["cell_radius_m"] is None for line in result.output.splitlines())
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_writes_the_result_table(runner, tmp_path):
@@ -229,8 +242,9 @@ BAD_OVERRIDES = [
     (["simulation.power_mode=sideways"], "invalid value for simulation.power_mode"),
     (["simulation.sweep_downtilts_deg=0, 90"], "simulation.sweep_downtilts_deg entries must be in [0, 90)"),
     (["simulation.sweep_patterns=dish"], "simulation.sweep_patterns: unknown metro antenna 'dish'"),
-    (["metro.bogus=1"], "unknown key metro.bogus"),
-    (["pico.drops=1"], "unknown section"),
+    (["metro.bogus=1"], "unknown key metro.bogus (--set)"),
+    (["simulation.carrier_frequency_ghz=2"], "unknown key simulation.carrier_frequency_ghz (--set)"),
+    (["pico.drops=1"], "unknown section [pico] (--set)"),
 ]
 
 

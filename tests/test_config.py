@@ -71,11 +71,15 @@ def test_unknown_key_is_reported_with_its_line():
 def test_unknown_section_is_rejected():
     with pytest.raises(ConfigError, match=r"unknown section \[femto\]"):
         parse_config("[femto]\ntx_power_dbm = 20\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[femto\] \(line 3\)"):
+        parse_config("[macro]\n\n[femto]\n")  # an empty section too
 
 
 def test_bad_values_name_the_key():
-    with pytest.raises(ConfigError, match=r"metro\.tx_power_dbm"):
+    with pytest.raises(ConfigError, match=r"metro\.tx_power_dbm \(line 2\)"):
         parse_config("[metro]\ntx_power_dbm = loud\n")
+    with pytest.raises(ConfigError, match=r"metro\.tx_power_dbm \(--set\)"):
+        parse_config("[metro]\ntx_power_dbm = 30\n", overrides=("metro.tx_power_dbm=loud",))
     with pytest.raises(ConfigError, match="power_mode"):
         parse_config("[simulation]\npower_mode = sideways\n")
 
@@ -166,7 +170,6 @@ EVERY_KEY = {
     "simulation.drops": ("0x20", 32),
     "simulation.master_seed": ("42", 42),
     "simulation.power_mode": ("same_eirp", PowerMode.SAME_EIRP),
-    "simulation.carrier_frequency_ghz": ("3.5", 3.5),
     "simulation.sweep_downtilts_deg": ("0, 5,12.5", (0.0, 5.0, 12.5)),
     "simulation.sweep_patterns": ("dipole4,quasi_omni", ("dipole4", "quasi_omni")),
 }

@@ -279,6 +279,24 @@ def test_wall_through_the_origin_whose_length_underflows_is_scanned():
     assert blockage_counts_from_origin(wap, np.zeros(1), 0.0, e1, e2, np.ones(1)).tolist() == [1]
 
 
+@pytest.mark.parametrize(
+    "wap, e1, e2",
+    [
+        # a WAP at the end of a wall that passes ~1e-69 km from the user
+        ((7.52e-85, 1.28e-81), (-0.125, 4.17e-69), (7.52e-85, 1.28e-81)),
+        # a WAP ~1e-45 km from the user, next to a wall through the user
+        ((-1.4e-45, 1e-150), (1e-150, 0.126), (-5e-151, -0.0617)),
+    ],
+)
+def test_radial_filter_keeps_cuts_of_waps_next_to_the_user(wap, e1, e2):
+    # near2 carries rounding of ~eps times the wall's coordinates, far above
+    # the WAP's own squared range
+    wap, e1, e2 = (np.array([p]) for p in (wap, e1, e2))
+    mask = _crossing_mask(wap[:, 0], wap[:, 1], 0.0, np.zeros(1), e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1], 1.0)
+    assert mask.tolist() == [True]
+    assert blockage_counts_from_origin(wap, np.zeros(1), 0.0, e1, e2, np.ones(1)).tolist() == [1]
+
+
 def test_origin_batch_matches_per_link_counts():
     # the bearing window must not drop a pair that the all-pairs test counts
     rng = np.random.default_rng(34)
@@ -314,13 +332,10 @@ def all_pairs_counts(wap_xy, wap_z, user_z, e1, e2, wall_h, chunk=256):
 
 
 # Dyadic coordinates (km) make exact ties, collinear walls and points on the
-# -x axis (bearing +-pi) common; the floats cover general position.  Nonzero
-# floats stay above 1 um: the radial filter's margin is relative to the
-# WAP's range, but the rounding in a wall's nearest-point distance scales
-# with the wall's length, so for WAPs much nearer the user the counter can
-# drop cuts the all-pairs test reports.
+# -x axis (bearing +-pi) common; the floats cover general position down to
+# subnormal coordinates, where products underflow.
 _GRID = st.sampled_from([k / 64.0 for k in range(-8, 9)] + [-0.0])
-_COORD = st.one_of(_GRID, st.floats(1e-9, 0.15), st.floats(-0.15, -1e-9))
+_COORD = st.one_of(_GRID, st.floats(-0.15, 0.15))
 _POINT = st.tuples(_COORD, _COORD)
 _SCALE = st.sampled_from([0.25, 0.5, 1.0, 2.0])  # exact, so bearings tie exactly
 

@@ -83,12 +83,12 @@ def desk_scenes(draw):
             )
         ),
     )
-    antenna = draw(st.sampled_from(sorted(METRO_ANTENNAS.values(), key=lambda a: a.name)))
-    tilt = draw(st.floats(0.0, 40.0)) if antenna.tiltable else 0.0
+    name = draw(st.sampled_from(sorted(METRO_ANTENNAS)))
+    tilt = draw(st.floats(0.0, 40.0)) if METRO_ANTENNAS[name].tiltable else 0.0
     scn = replace(
         Scenario(),
         sir_bias_db=draw(st.floats(-6.0, 12.0)),
-        metro=replace(Scenario().metro, pattern=antenna.name, downtilt_deg=tilt),
+        metro=replace(Scenario().metro, pattern=name, downtilt_deg=tilt),
     )
     return scn, net
 
